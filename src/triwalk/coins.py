@@ -27,12 +27,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "UNITARITY_TOL",
     "DIAGONALIZATION_TOL",
-    "DEGENERACY_GAP",
     "InvariantViolation",
     "CoinFamily",
     "Coin",
@@ -53,8 +51,6 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 # Entrywise tolerance for numerically diagonalized quantities.
 DIAGONALIZATION_TOL = 1e-10
-# Eigenvalues closer than this are treated as one degenerate cluster.
-DEGENERACY_GAP = 1e-8
 
 # Exchange of the L and R coin components (parity on the internal space).
 _EXCHANGE = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -283,18 +279,19 @@ def coin_from_spectral(eigensystem: EigenSystem,
     return Coin(m, CoinFamily.CUSTOM)
 
 
-def _schur_eigensystem(matrix: np.ndarray) -> EigenSystem:
-    """Numeric eigensystem of a unitary via complex Schur decomposition.
+def _unitary_eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of a batch of unitaries.
 
-    For a normal matrix the Schur form is diagonal, so the Schur vectors are
-    an exactly orthonormal eigenbasis even for degenerate eigenvalues, where
-    a characteristic-polynomial route would lose half the digits.
+    ``matrices`` has shape (..., 3, 3); column j of the returned basis
+    belongs to eigenvalue j.  Eigenvectors of a normal matrix for distinct
+    eigenvalues are orthogonal already, so the QR step only re-orthonormalizes
+    within degenerate or nearly degenerate clusters, where LAPACK returns an
+    arbitrary, possibly skewed, basis of the eigenspace.  Each column keeps
+    its eigenspace, so eigenvalue j still belongs to column j.
     """
-    t, q = scipy.linalg.schur(matrix, output="complex")
-    lam = np.diag(t).copy()
-    lam /= np.abs(lam)
-    order = np.argsort(np.angle(lam), kind="stable")
-    return EigenSystem(lam[order], q[:, order])
+    lam, vec = np.linalg.eig(matrices)
+    q, _ = np.linalg.qr(vec)
+    return lam / np.abs(lam), q
 
 
 def eigensystem_of(coin: Coin) -> EigenSystem:
@@ -328,4 +325,6 @@ def eigensystem_of(coin: Coin) -> EigenSystem:
     if family is CoinFamily.TRIVIAL_C_PRIME:
         return EigenSystem(np.array([-1.0, -1.0, 1.0], dtype=complex),
                            _c2_eigenvectors(1.0))
-    return _schur_eigensystem(coin.matrix)
+    lam, vec = _unitary_eig(coin.matrix)
+    order = np.argsort(np.angle(lam), kind="stable")
+    return EigenSystem(lam[order], vec[:, order])

@@ -83,10 +83,8 @@ def flat_band_detect(
         raise ValueError("flat band detection needs at least 256 samples")
     table = dispersion_numeric(coin, n_samples)
     for j in range(3):
-        omega = table.branches[j]
-        mean = omega.mean()
-        if np.max(np.abs(omega - mean)) < tol:
-            return True, complex(np.exp(1j * mean))
+        if table.is_flat(j, tol):
+            return True, complex(np.exp(1j * table.branches[j].mean()))
     return False, None
 
 

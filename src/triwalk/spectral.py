@@ -6,25 +6,27 @@ the dispersion relations of the walk; their derivatives are group
 velocities, and the ballistic probability fronts travel at the extremal
 group velocity, attained where the second derivative of omega vanishes.
 
-Branches are tracked across the momentum grid by phase continuation against
-a linear prediction (unwrapped, so a branch may wind out of (-pi, pi]
-across the zone).  The flat branch, when present, is moved to index 2.
+Peak velocities use exact band slopes: by the Hellmann-Feynman theorem the
+band through the unit eigenvector v of U(k) has slope |v_R|^2 - |v_L|^2,
+so they need neither branch tracking nor differencing.
+
+Dispersion tables track branches across the momentum grid by phase
+continuation against a linear prediction (unwrapped, so a branch may wind
+out of (-pi, pi] across the zone), with finite-difference group
+velocities.  The flat branch, when present, is moved to index 2.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import logging
 import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
-from .coins import Coin, CoinFamily, InvariantViolation
+from .coins import Coin, CoinFamily, InvariantViolation, _unitary_eig
 
 __all__ = [
     "DEFAULT_GRID",
@@ -45,8 +47,6 @@ __all__ = [
     "linear_approx_deviation",
 ]
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_GRID = 4096
 # Largest allowed phase step between consecutive grid samples of one branch.
 BRANCH_JUMP_THRESHOLD = math.pi / 4
@@ -55,6 +55,8 @@ FLAT_BAND_TOL = 1e-8
 
 _PERMS = np.array(list(permutations(range(3))))
 _TWO_PI = 2.0 * math.pi
+# Off-grid refinement stops once its bracket is narrower than this (rad).
+_ZOOM_RESOLUTION = 1e-10
 
 
 class BranchTrackingError(Exception):
@@ -218,21 +220,16 @@ def dispersion_numeric(
 
 def _eigenvector_pass(matrix: np.ndarray, ks: np.ndarray,
                       branches: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors per sample, columns aligned with branches."""
-    vectors = np.empty((ks.size, 3, 3), dtype=np.complex128)
-    for n, k in enumerate(ks):
-        phase = np.array([np.exp(-1j * k), 1.0, np.exp(1j * k)])
-        t, q = scipy.linalg.schur(phase[:, None] * matrix, output="complex")
-        lam = np.diag(t)
-        taken = [False, False, False]
-        for j in range(3):
-            target = np.exp(1j * branches[j, n])
-            dist = np.abs(lam - target)
-            dist[taken] = np.inf
-            pick = int(np.argmin(dist))
-            taken[pick] = True
-            vectors[n, :, j] = q[:, pick]
-    return vectors
+    """Orthonormal eigenvectors per sample, columns aligned with branches.
+
+    Each sample takes the assignment of eigenvalues to branches, among the
+    six, that lies nearest the tracked phases.
+    """
+    lam, vec = _unitary_eig(_propagator_batch(matrix, ks))
+    target = np.exp(1j * branches.T)                                  # (n, 3)
+    cost = np.abs(lam[:, _PERMS] - target[:, None, :]).sum(axis=2)    # (n, 6)
+    perm = _PERMS[np.argmin(cost, axis=1)]
+    return np.take_along_axis(vec, perm[:, None, :], axis=2)
 
 
 def dispersion_analytic(family: CoinFamily, parameter: float | None, k):
@@ -271,77 +268,47 @@ def group_velocity(table: DispersionTable, branch: int) -> np.ndarray:
     return (steps + np.roll(steps, 1)) / (2.0 * h)
 
 
-class _BranchEvaluator:
-    """Off-grid evaluation of one tracked branch.
+def _band_slopes(matrix: np.ndarray, ks: np.ndarray):
+    """Eigenvalues of U(k) and their exact slopes d omega/dk at every k.
 
-    The continuation anchor at an arbitrary k is the linear interpolation of
-    the tracked branch (seam steps wrapped, so winding branches interpolate
-    correctly); its O(h^2 omega'') error is far smaller than the separation
-    of neighboring branches everywhere except a vanishing neighborhood of a
-    band touching, where either assignment is a valid continuation and the
-    finite-difference velocity stays bounded by the one-sided slopes.
+    Both arrays have shape ``ks.shape + (3,)``.  Since dU/dk =
+    i diag(-1, 0, 1) U, the Hellmann-Feynman theorem gives the slope of the
+    band through the unit eigenvector v as |v_R|^2 - |v_L|^2, which lies in
+    [-1, 1].  At a degenerate point any basis of the eigenspace gives values
+    between the one-sided slopes of the bands that meet there, so extrema
+    taken over samples never overshoot.
     """
-
-    def __init__(self, table: DispersionTable, branch: int):
-        self.matrix = table.coin.matrix
-        self.values = table.branches[branch]
-        self.steps = table.branch_steps(branch)
-        self.h = table.spacing
-        self.n = table.n_samples
-
-    def ref(self, k: float) -> float:
-        pos = (k / self.h) % self.n
-        i = int(pos) % self.n
-        frac = pos - math.floor(pos)
-        return float(self.values[i] + frac * self.steps[i])
-
-    def phase(self, k: float) -> float:
-        ref = self.ref(k)
-        col = np.array([np.exp(-1j * k), 1.0, np.exp(1j * k)])
-        ph = np.angle(np.linalg.eigvals(col[:, None] * self.matrix))
-        cand = ph + _TWO_PI * np.round((ref - ph) / _TWO_PI)
-        return float(cand[np.argmin(np.abs(cand - ref))])
-
-    def velocity(self, k: float, delta: float) -> float:
-        return (self.phase(k + delta) - self.phase(k - delta)) / (2.0 * delta)
-
-    def second_difference(self, k: float, delta: float) -> float:
-        """Raw second difference omega(k+d) - 2 omega(k) + omega(k-d)."""
-        mid = self.phase(k)
-        return (self.phase(k + delta) - mid) + (self.phase(k - delta) - mid)
+    lam, vec = _unitary_eig(_propagator_batch(matrix, ks.ravel()))
+    weight = np.abs(vec) ** 2
+    shape = ks.shape + (3,)
+    return lam.reshape(shape), (weight[:, 2, :] - weight[:, 0, :]).reshape(shape)
 
 
-def _refine_corner(table: DispersionTable, branch: int, spike: int) -> float:
-    """Locate a band-touching corner as the crossing of one-sided secants.
+def _zoom(objective, centers: np.ndarray, half_width: float):
+    """Maximize ``objective`` near each of ``centers`` by shrinking brackets.
 
-    At a conical touching the branch is piecewise smooth with a slope jump;
-    the straight lines through the two grid samples on either side intersect
-    at the corner.  The residual curvature bias is O(h^2 omega'' / dslope),
-    far below the grid spacing because omega'' itself vanishes at the corner.
+    ``objective`` maps a (len(centers), 9) array of k to values.  Each pass
+    samples [c - w, c + w] at nine points, recentres on the best sample and
+    quarters w, so the new bracket still holds both neighbours of the best
+    sample; the centre itself is resampled, so the best value never drops.
+    Returns the final centres and their values.
     """
-    omega = table.branches[branch]
-    steps = table.branch_steps(branch)
-    h = table.spacing
-    n = table.n_samples
-    k_s = table.k_grid[spike]
-    # Unwrapped branch values at spike-2 .. spike+2 via the step chain.
-    vals = np.empty(5)
-    vals[2] = omega[spike]
-    vals[3] = vals[2] + steps[spike % n]
-    vals[4] = vals[3] + steps[(spike + 1) % n]
-    vals[1] = vals[2] - steps[(spike - 1) % n]
-    vals[0] = vals[1] - steps[(spike - 2) % n]
-    slope_l = (vals[1] - vals[0]) / h
-    slope_r = (vals[4] - vals[3]) / h
-    if abs(slope_l - slope_r) < 1e-9:
-        return float(k_s % _TWO_PI)
-    # Lines through (k_s - 1.5h, midpoint of left pair) and the right mirror.
-    y_l = 0.5 * (vals[0] + vals[1])
-    y_r = 0.5 * (vals[3] + vals[4])
-    x_l = -1.5 * h
-    x_r = 1.5 * h
-    x = (y_r - y_l + slope_l * x_l - slope_r * x_r) / (slope_l - slope_r)
-    return float((k_s + x) % _TWO_PI)
+    offsets = np.linspace(-1.0, 1.0, 9)
+    c = np.asarray(centers, dtype=float)
+    while True:
+        ks = c[:, None] + half_width * offsets
+        values = objective(ks)
+        best = np.argmax(values, axis=1)[:, None]
+        c = np.take_along_axis(ks, best, axis=1)[:, 0]
+        if half_width < _ZOOM_RESOLUTION:
+            return c, np.take_along_axis(values, best, axis=1)[:, 0]
+        half_width /= 4.0
+
+
+def _mirror(k: float) -> float:
+    """Representative of k in [0, pi] under k -> 2pi - k."""
+    k = float(k) % _TWO_PI
+    return min(k, _TWO_PI - k)
 
 
 def stationary_point(
@@ -352,82 +319,36 @@ def stationary_point(
 ) -> float | None:
     """Wavenumber where the branch curvature d^2 omega/dk^2 vanishes.
 
-    Grid sign changes of the second difference are refined: smooth
-    inflections by bisection on a fresh finite-difference second derivative,
-    band-touching corners (a localized negative spike in the grid curvature)
-    by secant-line intersection.  Returns None for flat branches and when no
-    sign change exists.  When several stationary points survive, the
-    smallest one in [0, pi] is reported (the spectrum is symmetric about pi
-    for the parity-symmetric families).
+    Such a point is an extremum of the branch velocity.  The largest
+    finite-difference velocity (in magnitude) on the grid is refined off-grid
+    within one spacing, on the exact slope of the eigenpair whose phase lies
+    nearest the interpolated branch.  The result is reported as its
+    representative in [0, pi] under k -> 2pi - k, which maps the velocity
+    maximum of a parity-symmetric family onto its minimum.  Returns None for
+    flat branches.
     """
     if table.n_samples < 256:
         raise ValueError("stationary point search needs at least 256 samples")
     if table.is_flat(branch, flat_tol):
         return None
     h = table.spacing
+    v = group_velocity(table, branch)
+    i = int(np.argmax(np.abs(v)))
+    sign = 1.0 if v[i] > 0.0 else -1.0
+    omega = table.branches[branch]
     steps = table.branch_steps(branch)
-    curv = (steps - np.roll(steps, 1)) / (h * h)
 
-    sign = np.sign(curv)
-    flips = [n for n in range(table.n_samples)
-             if sign[n] != 0 and sign[n] * sign[(n + 1) % table.n_samples] < 0]
-    if not flips:
-        logger.debug("no curvature sign change on the grid for branch %d", branch)
-        return None
+    def objective(ks: np.ndarray) -> np.ndarray:
+        pos = ks / h
+        n = np.floor(pos)
+        idx = n.astype(int) % table.n_samples
+        ref = omega[idx] + (pos - n) * steps[idx]
+        lam, slopes = _band_slopes(table.coin.matrix, ks)
+        pick = np.argmin(np.abs(_wrap(np.angle(lam) - ref[..., None])), axis=-1)
+        return sign * np.take_along_axis(slopes, pick[..., None], axis=-1)[..., 0]
 
-    spike_level = 0.1 / h
-    candidates: list[float] = []
-    for n in flips:
-        m = (n + 1) % table.n_samples
-        pair = {n: abs(curv[n]), m: abs(curv[m])}
-        spike = max(pair, key=pair.get)
-        if pair[spike] > spike_level:
-            k = _refine_corner(table, branch, spike)
-        else:
-            k = _bisect_curvature(table, branch, n, m)
-        k = k % _TWO_PI
-        if _TWO_PI - k < 1e-9:
-            k = 0.0
-        candidates.append(k)
-
-    # Deduplicate modulo 2pi and prefer the representative in [0, pi].
-    unique: list[float] = []
-    for k in sorted(candidates):
-        if not any(abs(_wrap(k - u)) < 1e-6 for u in unique):
-            unique.append(k)
-    in_half = [k for k in unique if k <= math.pi + 1e-9]
-    return min(in_half) if in_half else min(unique)
-
-
-def _bisect_curvature(table: DispersionTable, branch: int,
-                      n_lo: int, n_hi: int) -> float:
-    """Bisection root of the finite-difference second derivative."""
-    h = table.spacing
-    delta = min(3e-4, h / 4.0)
-    a = float(table.k_grid[n_lo])
-    b = a + h  # n_hi may be the wrapped sample 0
-    ev = _BranchEvaluator(table, branch)
-
-    def curvature(k: float) -> float:
-        return ev.second_difference(k, delta) / (delta * delta)
-
-    fa = curvature(a)
-    fb = curvature(b)
-    if fa == 0.0:
-        return float(a % _TWO_PI)
-    if fb == 0.0 or fa * fb > 0.0:
-        return float(b % _TWO_PI)
-    lo, hi = a, b
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = curvature(mid)
-        if abs(fm) < 1e-8 or (hi - lo) < 1e-10:
-            return float(mid % _TWO_PI)
-        if fa * fm < 0.0:
-            hi = mid
-        else:
-            lo, fa = mid, fm
-    return float(0.5 * (lo + hi) % _TWO_PI)
+    k, _ = _zoom(objective, table.k_grid[[i]], h)
+    return _mirror(k[0])
 
 
 class VelocityMethod(enum.Enum):
@@ -475,58 +396,33 @@ class PeakVelocityResult:
                    VelocityMethod(data["method"]))
 
 
-def _refined_extremum(table: DispersionTable, branch: int,
-                      k_center: float, sign: float) -> float:
-    """Extremal group velocity near k_center via a small-step stencil.
-
-    The stencil step 1e-5 balances truncation (omega''' delta^2 / 6 ~ 1e-11)
-    against phase rounding noise (eps/delta ~ 1e-10).  At a band-touching
-    corner the two-sided difference is a convex combination of the one-sided
-    slopes, so the estimate never overshoots the light cone.
-    """
-    delta = 1e-5
-    h = table.spacing
-    ev = _BranchEvaluator(table, branch)
-    res = scipy.optimize.minimize_scalar(
-        lambda k: -sign * ev.velocity(k, delta),
-        bounds=(k_center - h, k_center + h),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(-sign * res.fun)
-
-
 def peak_velocities_numeric(coin: Coin,
                             n_samples: int = DEFAULT_GRID) -> PeakVelocityResult:
-    """Peak velocities from the numerically tracked dispersion.
+    """Peak velocities from the exact band slopes of U(k).
 
-    For each dispersive branch the grid group velocity is scanned for its
-    extrema, which are then refined off-grid; v_right is the maximum over
-    branches, v_left the minimum.  A coin whose branches are all flat does
-    not spread: the velocities are zero and k0 is absent.
+    The Hellmann-Feynman slope of every eigenpair is taken on the grid; the
+    largest and the smallest are each refined off-grid within one spacing and
+    give v_right and v_left.  No branch is tracked, so band touchings need no
+    special care.  k0 is where v_right is attained, as its representative in
+    [0, pi] under k -> 2pi - k; like :func:`stationary_point` it needs at
+    least 256 samples and is None on smaller grids.  A coin whose slopes all
+    vanish (every branch flat) does not spread: the velocities are zero and
+    k0 is absent.
     """
-    table = dispersion_numeric(coin, n_samples)
-    best_max: tuple[float, int] | None = None
-    best_min: tuple[float, int] | None = None
-    for j in range(3):
-        if table.is_flat(j):
-            continue
-        v = group_velocity(table, j)
-        i_max = int(np.argmax(v))
-        i_min = int(np.argmin(v))
-        v_hi = _refined_extremum(table, j, float(table.k_grid[i_max]), +1.0)
-        v_lo = _refined_extremum(table, j, float(table.k_grid[i_min]), -1.0)
-        if best_max is None or v_hi > best_max[0]:
-            best_max = (v_hi, j)
-        if best_min is None or v_lo < best_min[0]:
-            best_min = (v_lo, j)
-
-    if best_max is None or best_min is None:
+    if n_samples < 16:
+        raise ValueError("velocity grid needs at least 16 samples")
+    ks = np.arange(n_samples) * (_TWO_PI / n_samples)
+    _, slopes = _band_slopes(coin.matrix, ks)
+    if np.max(np.abs(slopes)) < FLAT_BAND_TOL:
         return PeakVelocityResult(0.0, 0.0, None, VelocityMethod.NUMERIC)
-    k0 = None
-    if n_samples >= 256:
-        k0 = stationary_point(table, best_max[1])
-    return PeakVelocityResult(best_min[0], best_max[0], k0,
+    sign = np.array([1.0, -1.0])[:, None, None]
+    centers = ks[[np.argmax(slopes.max(axis=1)), np.argmin(slopes.min(axis=1))]]
+    k, v = _zoom(
+        lambda kk: (sign * _band_slopes(coin.matrix, kk)[1]).max(axis=-1),
+        centers, _TWO_PI / n_samples,
+    )
+    k0 = _mirror(k[0]) if n_samples >= 256 else None
+    return PeakVelocityResult(-float(v[1]), float(v[0]), k0,
                               VelocityMethod.NUMERIC)
 
 

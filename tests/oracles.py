@@ -75,3 +75,24 @@ def flat_band_trapped_probability(coin_matrix: np.ndarray, psi_c: np.ndarray,
     overlaps = v.conj() @ psi_c
     trapped = (overlaps[:, None] * v).mean(axis=0)
     return float(np.sum(np.abs(trapped) ** 2))
+
+
+def hf_velocity_range(coin_matrix: np.ndarray,
+                      n_modes: int = 2 ** 16) -> tuple[float, float]:
+    """(min, max) group velocity over a dense momentum grid.
+
+    By the Hellmann-Feynman theorem the band of U(k) = D(k) C through the
+    unit eigenvector v has slope |v_R|^2 - |v_L|^2, so every eigenpair of
+    every sampled propagator gives an exact velocity; the extremes are read
+    off the grid with no tracking or refinement.
+    """
+    lo, hi = np.inf, -np.inf
+    for ks in np.array_split(2.0 * np.pi * np.arange(n_modes) / n_modes, 16):
+        phase = np.stack([np.exp(-1j * ks), np.ones_like(ks), np.exp(1j * ks)],
+                         axis=1)
+        _, vecs = np.linalg.eig(phase[:, :, None] * coin_matrix[None, :, :])
+        weight = np.abs(vecs) ** 2
+        weight /= weight.sum(axis=1, keepdims=True)
+        slope = weight[:, 2, :] - weight[:, 0, :]
+        lo, hi = min(lo, float(slope.min())), max(hi, float(slope.max()))
+    return lo, hi

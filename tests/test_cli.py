@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,18 @@ def read_csv_distribution(path):
         sites.append(int(m))
         probs.append(float(p))
     return np.array(sites), np.array(probs)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; every CLI start imports triwalk.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, triwalk; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 class TestCoinSpecGrammar:

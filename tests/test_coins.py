@@ -203,11 +203,14 @@ class TestEigensystemOf:
         assert np.max(np.abs(es.reconstruct() - coin.matrix)) < 1e-10
 
     def test_reconstruction_of_custom_degenerate(self):
-        # Degenerate pair of eigenvalues through the numeric path.
-        es = eigensystem_of(Coin(grover_coin().matrix))
-        assert np.max(np.abs(es.reconstruct() - grover_coin().matrix)) < 1e-10
-        gram = es.eigenvectors.conj().T @ es.eigenvectors
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+        # Degenerate eigenvalues through the numeric path: a degenerate pair,
+        # a triple, and a pair split by an eigenphase gap of 1e-9.
+        near = coin_from_spectral(grover_eigensystem(), (0.3, 0.3 + 1e-9, 2.0))
+        for matrix in (grover_coin().matrix, np.eye(3), near.matrix):
+            es = eigensystem_of(Coin(matrix))
+            assert np.max(np.abs(es.reconstruct() - matrix)) < 1e-10
+            gram = es.eigenvectors.conj().T @ es.eigenvectors
+            assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
     def test_spectral_round_trip(self):
         for coin in (grover_coin(), coin_c1(0.8), coin_c2(0.6), fourier_coin()):

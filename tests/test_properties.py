@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +13,14 @@ from triwalk.coins import (
     coin_c2,
     coin_from_spectral,
     eigensystem_of,
+    fourier_coin,
     grover_coin,
     grover_eigensystem,
 )
 from triwalk.spectral import peak_velocities_numeric
 from triwalk.walk import evolve, initial_state, probability_distribution, step
+
+from oracles import hf_velocity_range
 
 
 def haar_unitary(seed: int) -> np.ndarray:
@@ -42,6 +46,15 @@ def test_custom_coin_respects_light_cone(seed):
     result = peak_velocities_numeric(coin, 512)
     assert result.v_right <= 1.0 + 1e-9
     assert result.v_left >= -1.0 - 1e-9
+
+
+@pytest.mark.parametrize("matrix", [fourier_coin().matrix, haar_unitary(0),
+                                    haar_unitary(1), haar_unitary(2)])
+def test_custom_coin_velocities_match_dense_scan(matrix):
+    v_min, v_max = hf_velocity_range(matrix)
+    result = peak_velocities_numeric(Coin(matrix))
+    assert abs(result.v_right - v_max) < 1e-6
+    assert abs(result.v_left - v_min) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)

@@ -225,10 +225,13 @@ class TestPeakVelocitiesNumeric:
         assert res.v_right == 0.0
         assert res.k0 is None
 
-    def test_c2_09(self):
-        res = peak_velocities_numeric(coin_c2(0.9))
-        assert abs(res.v_right - 0.9) < 1e-6
-        assert abs(res.v_left + 0.9) < 1e-6
+    # rho -> 1 brings the two dispersive bands within ~1e-4 of touching at
+    # k = pi, where a finite-difference stencil would straddle both.
+    @pytest.mark.parametrize("rho", [0.9, 1.0 - 1e-9])
+    def test_c2_09(self, rho):
+        res = peak_velocities_numeric(coin_c2(rho))
+        assert abs(res.v_right - rho) < 1e-6
+        assert abs(res.v_left + rho) < 1e-6
 
     @pytest.mark.parametrize("coin", [grover_coin(), coin_c1(0.7),
                                       coin_c2(0.3), fourier_coin()])
