@@ -31,6 +31,7 @@ from .localization import localization_report
 from .spectral import (
     BranchTrackingError,
     dispersion_numeric,
+    linear_approx_deviation,
     peak_velocities_numeric,
     peak_velocity_c1,
     peak_velocity_c2,
@@ -40,7 +41,6 @@ from .walk import evolve, initial_state, peak_positions, probability_distributio
 __all__ = ["main"]
 
 MAX_STEPS = 100_000
-THREADS_ENV_VAR = "TRIWALK_THREADS"
 
 # Normalized version of the reference state (1, -1, 1)/sqrt(3).
 _DEFAULT_STATE = (
@@ -83,8 +83,8 @@ def _parse_float(text: str, what: str) -> float:
 def parse_state(spec: str) -> np.ndarray:
     """Parse six comma-separated reals (re, im per component), normalizing.
 
-    Prints a warning when the supplied vector was off unit norm by more
-    than 1e-9.
+    Rejects non-finite components.  Prints a warning when the supplied
+    vector was off unit norm by more than 1e-9.
     """
     parts = spec.split(",")
     if len(parts) != 6:
@@ -92,6 +92,8 @@ def parse_state(spec: str) -> np.ndarray:
             "state must be six comma-separated numbers (re,im per component)"
         )
     vals = [_parse_float(p, "state component") for p in parts]
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"state components must be finite, got {spec!r}")
     psi = np.array([complex(vals[0], vals[1]),
                     complex(vals[2], vals[3]),
                     complex(vals[4], vals[5])])
@@ -114,19 +116,6 @@ def _analytic_velocity(coin: Coin) -> float | None:
     if coin.family is CoinFamily.C2:
         return peak_velocity_c2(coin.parameter)
     return None
-
-
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-        if n < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be positive, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -182,29 +171,24 @@ def cmd_velocity(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    family = args.family
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
-    if family == "c1":
-        params = np.linspace(0.0, math.pi / 2.0, args.points)
-        analytic = peak_velocity_c1
+    if args.family == "c1":
+        make_coin, top = coin_c1, math.pi / 2.0
     else:
-        params = np.linspace(0.0, 1.0, args.points)
-        analytic = peak_velocity_c2
-    make_coin = coin_c1 if family == "c1" else coin_c2
-
-    def straight_line(p: float) -> float:
-        if family == "c1":
-            return (1.0 - 2.0 * p / math.pi) / math.sqrt(3.0)
-        return p
+        make_coin, top = coin_c2, 1.0
 
     def run_point(p: float) -> tuple[float, float, float, float]:
-        v_num = peak_velocities_numeric(make_coin(p), args.grid).v_right
-        v_ana = analytic(p)
-        return (p, v_ana, v_num, v_ana - straight_line(p))
+        coin = make_coin(p)
+        v_num = peak_velocities_numeric(coin, args.grid).v_right
+        v_ana = _analytic_velocity(coin)
+        dev = linear_approx_deviation(p) if args.family == "c1" else v_ana - p
+        return (p, v_ana, v_num, dev)
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(run_point, params))
+    # One worker per CPU: the executor's default of cpu_count + 4 would hold
+    # more grids in memory at once.  pool.map keeps rows in parameter order.
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        rows = list(pool.map(run_point, np.linspace(0.0, top, args.points)))
 
     if args.format == "csv":
         lines = ["parameter,v_analytic,v_numeric,deviation_from_linear"]
@@ -284,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of parameter samples (default 50)")
     p_sweep.add_argument("--grid", type=int, default=4096,
                          help="momentum grid size per point (default 4096)")
-    p_sweep.add_argument("--threads", type=int, default=None,
-                         help=f"worker threads (default ${THREADS_ENV_VAR} "
-                              "or CPU count)")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -309,13 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("dispersion", "velocity", "sweep", "localize",
-                            "simulate") and args.grid < 16:
+        if args.grid < 16:
             raise ConfigError("--grid must be at least 16")
-        if args.command == "sweep" and args.threads is None:
-            args.threads = _default_threads()
-        if args.command == "sweep" and args.threads < 1:
-            raise ConfigError("--threads must be positive")
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         return _fail(2, exc)

@@ -130,7 +130,7 @@ def initial_state(psi_c) -> WalkState:
     if psi.shape != (3,):
         raise ValueError("initial coin state must have three components")
     norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise ValueError(f"initial coin state norm is {norm!r}, expected 1")
     return WalkState(0, psi[None, :])
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triwalk.cli import main, parse_coin, parse_state
-from triwalk.coins import CoinFamily, fourier_coin
-from triwalk.spectral import PeakVelocityResult
+from triwalk.cli import build_parser, main, parse_coin, parse_state
+from triwalk.coins import CoinFamily, coin_c2, fourier_coin
+from triwalk.spectral import PeakVelocityResult, peak_velocities_numeric
 from triwalk.walk import ProbabilityDistribution
 
 
@@ -35,6 +37,20 @@ def test_import_loads_no_scipy():
                          text=True, check=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_examples_parse():
+    # Every example in README's "Command line" block must be accepted as
+    # written; the commands are parsed, not run.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    examples = [line for line in block.splitlines()
+                if line.startswith("triwalk ")]
+    assert len(examples) == 5
+    for line in examples:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.func is not None
 
 
 class TestCoinSpecGrammar:
@@ -112,6 +128,20 @@ class TestSimulate:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("coin, front, label", [
+        ("grover", "28.868", "analytic"),
+        # c1 reduces phi mod pi; 2.0 lies above pi/2, past the closed form,
+        # and the numeric value equals peak_velocity_c1(pi - 2.0).
+        ("c1:2.0", "7.226", "numeric"),
+    ])
+    def test_predicted_front(self, tmp_path, capsys, coin, front, label):
+        code = main(["simulate", "--coin", coin, "--steps", "50",
+                     "--grid", "512", "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        predicted = capsys.readouterr().out.splitlines()[-1]
+        assert predicted.startswith(f"predicted t*v_R = {front} ")
+        assert predicted.endswith(f", {label})")
+
     def test_steps_cap(self, tmp_path, capsys):
         code = main(["simulate", "--steps", "200000",
                      "--out", str(tmp_path / "x.csv")])
@@ -168,8 +198,7 @@ class TestSweep:
     def test_c2_identity_columns(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--family", "c2", "--points", "11",
-                     "--grid", "1024", "--threads", "2",
-                     "--out", str(out)]) == 0
+                     "--grid", "1024", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "parameter,v_analytic,v_numeric,deviation_from_linear"
         rows = np.array([[float(x) for x in line.split(",")]
@@ -182,7 +211,7 @@ class TestSweep:
     def test_c1_endpoints_and_monotonicity(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--family", "c1", "--points", "9",
-                     "--grid", "1024", "--threads", "2", "--format", "json",
+                     "--grid", "1024", "--format", "json",
                      "--out", str(out)]) == 0
         rows = json.loads(out.read_text())
         assert len(rows) == 9
@@ -193,21 +222,24 @@ class TestSweep:
         vals = [r["v_analytic"] for r in rows]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_deterministic_across_thread_counts(self, tmp_path):
-        base = ["sweep", "--family", "c2", "--points", "5", "--grid", "512"]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_threads_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRIWALK_THREADS", "2")
+    def test_pool_rows_match_serial_order(self, tmp_path):
+        # The worker pool must merge rows in parameter order, each bit for
+        # bit what a serial computation of that point gives.
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--family", "c2", "--points", "3",
+        assert main(["sweep", "--family", "c2", "--points", "5",
                      "--grid", "512", "--out", str(out)]) == 0
-        monkeypatch.setenv("TRIWALK_THREADS", "zero")
-        assert main(["sweep", "--family", "c2", "--points", "3",
-                     "--grid", "512", "--out", str(out)]) == 2
+        rows = [[float(x) for x in line.split(",")]
+                for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (p, p, peak_velocities_numeric(coin_c2(p), 512).v_right)
+            for p in np.linspace(0.0, 1.0, 5)
+        ]
+
+    def test_threads_option_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "c2", "--points", "3", "--threads",
+                  "2", "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == 2
 
 
 class TestLocalize:
@@ -251,6 +283,20 @@ class TestErrorPaths:
         code = main(["velocity", "--coin", "matrix:/does/not/exist.json",
                      "--out", str(tmp_path / "x.json")])
         assert code == 4
+
+    @pytest.mark.parametrize("command, state, out", [
+        ("simulate", "nan,0,0,0,0,0", "x.csv"),
+        ("localize", "inf,0,0,0,0,0", "x.json"),
+    ])
+    def test_non_finite_state_exit_2(self, tmp_path, capsys, command, state,
+                                     out):
+        path = tmp_path / out
+        code = main([command, "--state", state, "--steps", "3",
+                     "--grid", "512", "--out", str(path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert not path.exists()
 
     def test_invalid_matrix_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
