@@ -22,6 +22,9 @@ from .coins import (
     Coin,
     CoinFamily,
     InvariantViolation,
+    _csv_text,
+    _to_json,
+    _write_text,
     coin_c1,
     coin_c2,
     grover_coin,
@@ -97,11 +100,17 @@ def parse_state(spec: str) -> np.ndarray:
     psi = np.array([complex(vals[0], vals[1]),
                     complex(vals[2], vals[3]),
                     complex(vals[4], vals[5])])
-    norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-    if norm == 0.0:
+    with np.errstate(over="ignore"):
+        squares = float(np.sum(np.abs(psi) ** 2))
+    # Rescale only squares that overflow or underflow; x / 1.0 is exact.
+    in_range = sys.float_info.min <= squares < math.inf
+    scale = 1.0 if in_range else max(map(abs, vals))
+    if scale == 0.0:
         raise ConfigError("state vector must be nonzero")
-    if abs(norm - 1.0) > 1e-9:
-        print(f"warning: state norm was {norm:.12g}; normalizing",
+    psi = psi / scale
+    norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
+    if abs(norm * scale - 1.0) > 1e-9:
+        print(f"warning: state norm was {norm * scale:.12g}; normalizing",
               file=sys.stderr)
     return psi / norm
 
@@ -127,10 +136,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--steps is capped at {MAX_STEPS}")
     state = evolve(initial_state(psi), coin, args.steps)
     dist = probability_distribution(state)
-    if args.format == "csv":
-        dist.to_csv(args.out)
-    else:
-        _write_text(args.out, dist.to_json())
+    _write_output(args, dist.to_csv, dist.to_json)
     left, right = peak_positions(dist)
     print(f"side peaks: left={left} right={right}")
     v = _analytic_velocity(coin)
@@ -146,26 +152,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_dispersion(args: argparse.Namespace) -> int:
     coin = parse_coin(args.coin)
     table = dispersion_numeric(coin, args.grid)
-    if args.format == "csv":
-        table.to_csv(args.out)
-    else:
-        _write_text(args.out, table.to_json())
+    _write_output(args, table.to_csv, table.to_json)
     return 0
 
 
 def cmd_velocity(args: argparse.Namespace) -> int:
     coin = parse_coin(args.coin)
     result = peak_velocities_numeric(coin, args.grid)
-    if args.format == "csv":
-        k0 = "" if result.k0 is None else f"{result.k0:.17g}"
-        _write_text(
-            args.out,
-            "v_left,v_right,k0,method\n"
-            f"{result.v_left:.17g},{result.v_right:.17g},{k0},"
-            f"{result.method.value}\n",
-        )
-    else:
-        _write_text(args.out, result.to_json())
+    _write_output(args, lambda path: _write_text(path, _csv_text(
+        "v_left,v_right,k0,method", [result.v_left], [result.v_right],
+        [result.k0], [result.method.value])), result.to_json)
     print(f"v_left = {result.v_left:.9f}, v_right = {result.v_right:.9f}")
     return 0
 
@@ -190,15 +186,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
         rows = list(pool.map(run_point, np.linspace(0.0, top, args.points)))
 
-    if args.format == "csv":
-        lines = ["parameter,v_analytic,v_numeric,deviation_from_linear"]
-        lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
-        _write_text(args.out, "\n".join(lines) + "\n")
-    else:
-        _write_text(args.out, json.dumps([
-            {"parameter": r[0], "v_analytic": r[1], "v_numeric": r[2],
-             "deviation_from_linear": r[3]} for r in rows
-        ]))
+    keys = ("parameter", "v_analytic", "v_numeric", "deviation_from_linear")
+    _write_output(args, lambda path: _write_text(
+        path, _csv_text(",".join(keys), *zip(*rows))),
+        lambda: _to_json([dict(zip(keys, row)) for row in rows]))
     return 0
 
 
@@ -210,18 +201,18 @@ def cmd_localize(args: argparse.Namespace) -> int:
     if args.steps > MAX_STEPS:
         raise ConfigError(f"--steps is capped at {MAX_STEPS}")
     report = localization_report(coin, psi, args.steps, n_samples=args.grid)
-    if args.format == "csv":
-        report.series_to_csv(args.out)
-    else:
-        _write_text(args.out, report.to_json())
+    _write_output(args, report.series_to_csv, report.to_json)
     print(f"trapping estimate = {report.trapping_estimate:.6f} "
           f"(converged={report.converged}, flat_band={report.flat_band})")
     return 0
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_output(args: argparse.Namespace, write_csv, to_json) -> None:
+    """Write ``--out`` in ``--format``: ``write_csv(path)`` or ``to_json()``."""
+    if args.format == "csv":
+        write_csv(args.out)
+    else:
+        _write_text(args.out, to_json())
 
 
 def build_parser() -> argparse.ArgumentParser:

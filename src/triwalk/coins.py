@@ -21,6 +21,7 @@ Every constructor returns an immutable, unitarity-checked :class:`Coin`.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -112,25 +113,66 @@ class Coin:
 
     def to_json(self) -> str:
         """Serialize as {family, parameter, matrix: [[re, im] x 9 row-major]}."""
-        entries = [[float(z.real), float(z.imag)] for z in self.matrix.ravel()]
-        return json.dumps(
-            {
-                "family": self.family.value,
-                "parameter": self.parameter,
-                "matrix": entries,
-            }
-        )
+        return _to_json(self)
 
     @classmethod
     def from_json(cls, text: str) -> "Coin":
+        """Inverse of :meth:`to_json`; raises ValueError on a malformed record.
+
+        A named family's constructor must give the matrix, entrywise within
+        ``UNITARITY_TOL``, at the stored parameter, which it then normalizes.
+        """
         data = json.loads(text)
-        entries = data["matrix"]
-        if len(entries) != 9:
-            raise ValueError("coin JSON must carry 9 row-major [re, im] entries")
-        m = np.array([complex(re, im) for re, im in entries]).reshape(3, 3)
-        param = data.get("parameter")
-        family = CoinFamily(data.get("family", "custom"))
-        return cls(m, family, None if param is None else float(param))
+        try:
+            family, param = CoinFamily(data["family"]), data["parameter"]
+            m = np.array([complex(re, im) for re, im in data["matrix"]])
+            args = () if param is None else (float(param),)
+            coin = cls(m.reshape(3, 3), family, *args)
+            named = _NAMED_COINS.get(family, lambda *_: coin)(*args)
+        except (KeyError, TypeError):
+            raise ValueError("coin JSON must be an object with a family, a "
+                             "parameter (a number for c1 and c2, else null) "
+                             "and 9 [re, im] entries") from None
+        if np.max(np.abs(coin.matrix - named.matrix)) > UNITARITY_TOL:
+            raise ValueError(f"matrix is not the {family.value} coin at "
+                             f"parameter {param!r}")
+        return cls(coin.matrix, family, named.parameter)
+
+
+# CSV cell format of a column, by the type of its first value, else str().
+# 17 significant digits read back to the same double.
+_CSV_CELLS = {float: "%.17g", type(None): ""}
+
+
+def _csv_text(header: str, *columns) -> str:
+    """The ``header`` line, then one CSV line per row of ``columns``."""
+    cols = [np.asarray(c).tolist() for c in columns]
+    row = ",".join(_CSV_CELLS.get(type(c[0]), "%s") for c in cols) + "\n"
+    values = zip(*(c for c in cols if c[0] is not None))
+    return header + "\n" + "".join(row % v for v in values)
+
+
+def _encode(obj):
+    """``json.dumps`` fallback for numpy values, complex, enums and coins."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, Coin):
+        return {"family": obj.family, "parameter": obj.parameter,
+                "matrix": obj.matrix.ravel()}
+    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
+
+
+# JSON text of a record, with the package's values encoded by _encode.
+_to_json = functools.partial(json.dumps, default=_encode)
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -277,6 +319,17 @@ def coin_from_spectral(eigensystem: EigenSystem,
         raise ValueError("phases must be finite")
     m = (np.exp(1j * theta)[:, None, None] * eigensystem.projectors).sum(axis=0)
     return Coin(m, CoinFamily.CUSTOM)
+
+
+# Constructor of each named family; c1 and c2 take the stored parameter.
+_NAMED_COINS = {
+    CoinFamily.GROVER: grover_coin,
+    CoinFamily.C1: coin_c1,
+    CoinFamily.C2: coin_c2,
+    CoinFamily.PERMUTATION_PI: permutation_coin,
+    CoinFamily.TRIVIAL_C: reflecting_coin,
+    CoinFamily.TRIVIAL_C_PRIME: transmitting_coin,
+}
 
 
 def _unitary_eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

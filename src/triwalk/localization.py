@@ -10,12 +10,12 @@ band itself is detected directly from the tracked dispersion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .coins import Coin
+from .coins import Coin, _csv_text, _to_json, _write_text
 from .spectral import FLAT_BAND_TOL, dispersion_numeric
 from .walk import initial_state, step
 
@@ -105,37 +105,19 @@ class LocalizationReport:
         object.__setattr__(self, "series", s)
 
     def to_json(self) -> str:
-        lam = self.flat_band_eigenvalue
-        return json.dumps(
-            {
-                "series": [float(p) for p in self.series],
-                "cesaro_windows": list(self.cesaro_windows),
-                "trapping_estimate": self.trapping_estimate,
-                "converged": self.converged,
-                "flat_band": self.flat_band,
-                "flat_band_eigenvalue": None if lam is None
-                else [lam.real, lam.imag],
-            }
-        )
+        return _to_json(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "LocalizationReport":
         data = json.loads(text)
         lam = data["flat_band_eigenvalue"]
-        return cls(
-            np.array(data["series"]),
-            (float(data["cesaro_windows"][0]), float(data["cesaro_windows"][1])),
-            float(data["trapping_estimate"]),
-            bool(data["converged"]),
-            bool(data["flat_band"]),
-            None if lam is None else complex(lam[0], lam[1]),
-        )
+        return cls(**{**data, "cesaro_windows": tuple(data["cesaro_windows"]),
+                      "flat_band_eigenvalue": None if lam is None
+                      else complex(*lam)})
 
     def series_to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,p0\n")
-            for t, p in enumerate(self.series):
-                fh.write(f"{t},{p:.17g}\n")
+        _write_text(path, _csv_text("t,p0", range(self.series.size),
+                                    self.series))
 
 
 def localization_report(

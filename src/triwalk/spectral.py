@@ -21,12 +21,13 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .coins import Coin, CoinFamily, InvariantViolation, _unitary_eig
+from .coins import (Coin, CoinFamily, InvariantViolation, _csv_text, _to_json,
+                    _unitary_eig, _write_text)
 
 __all__ = [
     "DEFAULT_GRID",
@@ -139,21 +140,12 @@ class DispersionTable:
 
     def to_csv(self, path) -> None:
         vs = [group_velocity(self, j) for j in range(3)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,omega1,omega2,omega3,v1,v2,v3\n")
-            for n in range(self.n_samples):
-                row = [self.k_grid[n]] + [self.branches[j][n] for j in range(3)]
-                row += [vs[j][n] for j in range(3)]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        _write_text(path, _csv_text("k,omega1,omega2,omega3,v1,v2,v3",
+                                    self.k_grid, *self.branches, *vs))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": [float(k) for k in self.k_grid],
-                "omega": [[float(w) for w in self.branches[j]] for j in range(3)],
-                "coin": json.loads(self.coin.to_json()),
-            }
-        )
+        return _to_json({"k": self.k_grid, "omega": self.branches,
+                         "coin": self.coin})
 
     @classmethod
     def from_json(cls, text: str) -> "DispersionTable":
@@ -378,22 +370,12 @@ class PeakVelocityResult:
             )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "v_left": self.v_left,
-                "v_right": self.v_right,
-                "k0": self.k0,
-                "method": self.method.value,
-            }
-        )
+        return _to_json(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "PeakVelocityResult":
         data = json.loads(text)
-        k0 = data["k0"]
-        return cls(float(data["v_left"]), float(data["v_right"]),
-                   None if k0 is None else float(k0),
-                   VelocityMethod(data["method"]))
+        return cls(**{**data, "method": VelocityMethod(data["method"])})
 
 
 def peak_velocities_numeric(coin: Coin,

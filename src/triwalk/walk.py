@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin
+from .coins import Coin, _csv_text, _to_json, _write_text
 
 __all__ = [
     "NORM_TOL",
@@ -103,20 +103,11 @@ class ProbabilityDistribution:
         return float(self.probabilities.sum())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("m,p\n")
-            for m, p in zip(self.sites, self.probabilities):
-                fh.write(f"{m},{p:.17g}\n")
+        _write_text(path, _csv_text("m,p", self.sites, self.probabilities))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "time": self.time,
-                "m_min": int(self.m_min),
-                "m_max": int(self.m_max),
-                "p": [float(p) for p in self.probabilities],
-            }
-        )
+        return _to_json({"time": self.time, "m_min": self.m_min,
+                         "m_max": self.m_max, "p": self.probabilities})
 
     @classmethod
     def from_json(cls, text: str) -> "ProbabilityDistribution":

@@ -5,14 +5,22 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triwalk.cli as cli
 from triwalk.cli import build_parser, main, parse_coin, parse_state
-from triwalk.coins import CoinFamily, coin_c2, fourier_coin
-from triwalk.spectral import PeakVelocityResult, peak_velocities_numeric
+from triwalk.coins import Coin, CoinFamily, coin_c2, fourier_coin, grover_coin
+from triwalk.localization import LocalizationReport
+from triwalk.spectral import (
+    DispersionTable,
+    PeakVelocityResult,
+    VelocityMethod,
+    peak_velocities_numeric,
+)
 from triwalk.walk import ProbabilityDistribution
 
 
@@ -90,6 +98,16 @@ class TestStateParsing:
 
         with pytest.raises(ConfigError):
             parse_state("1,2,3")
+
+    @pytest.mark.parametrize("spec", ["1e200,0,0,0,0,0", "1e-200,0,0,0,0,0"])
+    def test_extreme_scale_normalizes(self, spec):
+        # The plain sum of squares overflows or underflows here; the state
+        # still normalizes to (1, 0, 0), as "2,0,0,0,0,0" does.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            psi = parse_state(spec)
+        assert psi.tolist() == [1, 0, 0]
+        assert np.array_equal(psi, parse_state("2,0,0,0,0,0"))
 
 
 class TestSimulate:
@@ -298,6 +316,27 @@ class TestErrorPaths:
         assert err["error"] == "ConfigError"
         assert not path.exists()
 
+    GROVER_ENTRIES = json.loads(grover_coin().to_json())["matrix"]
+
+    @pytest.mark.parametrize("record", [
+        {"family": "grover"},
+        GROVER_ENTRIES,
+        {"family": "c1", "parameter": None, "matrix": GROVER_ENTRIES},
+        # The Grover matrix is c2 at rho = 1/sqrt(3), not at 0.3.
+        {"family": "c2", "parameter": 0.3, "matrix": GROVER_ENTRIES},
+    ], ids=["missing-key", "not-an-object", "c1-without-parameter",
+            "c2-label-mismatch"])
+    def test_malformed_coin_file_exit_2(self, tmp_path, capsys, record):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(record))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--coin", f"matrix:{path}", "--steps", "3",
+                     "--grid", "512", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert not out.exists()
+
     def test_invalid_matrix_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -310,3 +349,111 @@ class TestErrorPaths:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvariantViolation"
+
+
+class TestOutputBytes:
+    """Exact bytes of every writer on hand-built records.
+
+    No eigensolver is involved, so the bytes are the same on any machine.
+    CSV floats carry 17 significant digits (0.1 is 0.10000000000000001);
+    JSON floats are the shortest text that reads back to the same double.
+    """
+
+    COIN = Coin(np.diag([1j, -1.0, 1j]))
+    COIN_JSON = (
+        '{"family": "custom", "parameter": null, "matrix": [[0.0, 1.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]}'
+    )
+
+    def test_coin(self):
+        assert self.COIN.to_json() == self.COIN_JSON
+
+    def test_distribution(self, tmp_path):
+        dist = ProbabilityDistribution(2, -1, [0.1, 0.5, 0.4])
+        dist.to_csv(tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_text() == (
+            "m,p\n-1,0.10000000000000001\n0,0.5\n1,0.40000000000000002\n"
+        )
+        assert dist.to_json() == (
+            '{"time": 2, "m_min": -1, "m_max": 1, "p": [0.1, 0.5, 0.4]}'
+        )
+
+    def test_dispersion(self, tmp_path):
+        # Uniform grid with spacing 0.5; the velocities are the periodic
+        # central differences, exact in binary here.
+        table = DispersionTable(
+            0.5 * np.arange(4),
+            [[0.0, 0.5, 1.0, 1.5], [0.1] * 4, [-0.25, 0.0, 0.25, 0.5]],
+            self.COIN,
+        )
+        table.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == (
+            "k,omega1,omega2,omega3,v1,v2,v3\n"
+            "0,0,0.10000000000000001,-0.25,-1,0,-0.5\n"
+            "0.5,0.5,0.10000000000000001,0,1,0,0.5\n"
+            "1,1,0.10000000000000001,0.25,1,0,0.5\n"
+            "1.5,1.5,0.10000000000000001,0.5,-1,0,-0.5\n"
+        )
+        assert table.to_json() == (
+            '{"k": [0.0, 0.5, 1.0, 1.5], "omega": [[0.0, 0.5, 1.0, 1.5], '
+            '[0.1, 0.1, 0.1, 0.1], [-0.25, 0.0, 0.25, 0.5]], '
+            f'"coin": {self.COIN_JSON}}}'
+        )
+
+    @pytest.mark.parametrize("k0, csv_k0, json_k0", [
+        (0.1, "0.10000000000000001", "0.1"),
+        (None, "", "null"),
+    ])
+    def test_velocity(self, tmp_path, monkeypatch, k0, csv_k0, json_k0):
+        result = PeakVelocityResult(-0.25, 0.1, k0, VelocityMethod.NUMERIC)
+        monkeypatch.setattr(cli, "peak_velocities_numeric",
+                            lambda coin, grid: result)
+        for fmt in ("csv", "json"):
+            assert main(["velocity", "--format", fmt,
+                         "--out", str(tmp_path / fmt)]) == 0
+        assert (tmp_path / "csv").read_text() == (
+            "v_left,v_right,k0,method\n"
+            f"-0.25,0.10000000000000001,{csv_k0},numeric\n"
+        )
+        expected_json = ('{"v_left": -0.25, "v_right": 0.1, '
+                         f'"k0": {json_k0}, "method": "numeric"}}')
+        assert (tmp_path / "json").read_text() == expected_json
+        assert result.to_json() == expected_json
+
+    @pytest.mark.parametrize("eigenvalue, json_eigenvalue", [
+        (complex(0.6, 0.8), "true, \"flat_band_eigenvalue\": [0.6, 0.8]"),
+        (None, "false, \"flat_band_eigenvalue\": null"),
+    ])
+    def test_localization(self, tmp_path, eigenvalue, json_eigenvalue):
+        report = LocalizationReport([1.0, 0.1, 0.25], (0.1, 0.125), 0.125,
+                                    False, eigenvalue is not None, eigenvalue)
+        assert report.to_json() == (
+            '{"series": [1.0, 0.1, 0.25], "cesaro_windows": [0.1, 0.125], '
+            '"trapping_estimate": 0.125, "converged": false, '
+            f'"flat_band": {json_eigenvalue}}}'
+        )
+        report.series_to_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text() == (
+            "t,p0\n0,1\n1,0.10000000000000001\n2,0.25\n"
+        )
+
+    def test_sweep(self, tmp_path, monkeypatch):
+        # c2 at rho = 0 and 1: the analytic velocity is rho, the deviation 0.
+        result = PeakVelocityResult(-0.1, 0.1, None, VelocityMethod.NUMERIC)
+        monkeypatch.setattr(cli, "peak_velocities_numeric",
+                            lambda coin, grid: result)
+        for fmt in ("csv", "json"):
+            assert main(["sweep", "--family", "c2", "--points", "2",
+                         "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        assert (tmp_path / "csv").read_text() == (
+            "parameter,v_analytic,v_numeric,deviation_from_linear\n"
+            "0,0,0.10000000000000001,0\n"
+            "1,1,0.10000000000000001,0\n"
+        )
+        assert (tmp_path / "json").read_text() == (
+            '[{"parameter": 0.0, "v_analytic": 0.0, "v_numeric": 0.1, '
+            '"deviation_from_linear": 0.0}, '
+            '{"parameter": 1.0, "v_analytic": 1.0, "v_numeric": 0.1, '
+            '"deviation_from_linear": 0.0}]'
+        )

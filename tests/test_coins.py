@@ -251,12 +251,20 @@ class TestCoinInvariants:
 
 class TestCoinSerialization:
     @pytest.mark.parametrize("coin", [grover_coin(), coin_c1(0.62),
-                                      coin_c2(0.37), fourier_coin()])
+                                      coin_c2(0.37), fourier_coin(),
+                                      permutation_coin(), reflecting_coin(),
+                                      transmitting_coin()])
     def test_json_round_trip(self, coin):
         loaded = Coin.from_json(coin.to_json())
         assert loaded.family is coin.family
         assert loaded.parameter == coin.parameter
         assert np.array_equal(loaded.matrix, coin.matrix)
+
+    def test_c1_parameter_reduced_on_load(self):
+        # A c1 file may store any phi that gives its matrix; the loaded coin
+        # keeps phi mod pi, as coin_c1 does.
+        text = Coin(coin_c1(-0.5).matrix, CoinFamily.C1, -0.5).to_json()
+        assert Coin.from_json(text).parameter == coin_c1(-0.5).parameter
 
     def test_json_schema(self):
         import json
