@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coins import Coin, _csv_text, _to_json, _write_text
-from .spectral import FLAT_BAND_TOL, dispersion_numeric
+from .spectral import dispersion_numeric
 from .walk import initial_state, step
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
 
 # Window averages closer than this count as converged.
 CONVERGENCE_TOL = 1e-3
+# Shortest origin series the window averages are taken over.
+_MIN_SERIES = 200
 
 
 class TrappingEstimate(NamedTuple):
@@ -59,8 +61,9 @@ def trapping_estimate(series) -> TrappingEstimate:
     window means differ by less than ``CONVERGENCE_TOL``.
     """
     p = np.asarray(series, dtype=float)
-    if p.ndim != 1 or p.size < 200:
-        raise ValueError("trapping estimate needs a series of at least 200 points")
+    if p.ndim != 1 or p.size < _MIN_SERIES:
+        raise ValueError("trapping estimate needs a series of at least "
+                         f"{_MIN_SERIES} points")
     half = p.size // 2
     three_quarters = (3 * p.size) // 4
     w1 = float(p[half:three_quarters].mean())
@@ -68,22 +71,19 @@ def trapping_estimate(series) -> TrappingEstimate:
     return TrappingEstimate(w2, abs(w1 - w2) < CONVERGENCE_TOL, (w1, w2))
 
 
-def flat_band_detect(
-    coin: Coin,
-    n_samples: int = 1024,
-    tol: float = FLAT_BAND_TOL,
-) -> tuple[bool, complex | None]:
+def flat_band_detect(coin: Coin,
+                     n_samples: int = 1024) -> tuple[bool, complex | None]:
     """Whether some eigenphase branch is constant in k (point spectrum).
 
     Returns (True, eigenvalue) with the point-spectrum eigenvalue
-    exp(i mean phase) when a branch varies by less than ``tol`` across the
-    grid, else (False, None).
+    exp(i mean phase) when a branch varies by less than ``FLAT_BAND_TOL``
+    across the grid, else (False, None).
     """
     if n_samples < 256:
         raise ValueError("flat band detection needs at least 256 samples")
     table = dispersion_numeric(coin, n_samples)
     for j in range(3):
-        if table.is_flat(j, tol):
+        if table.is_flat(j):
             return True, complex(np.exp(1j * table.branches[j].mean()))
     return False, None
 
@@ -126,17 +126,21 @@ def localization_report(
     t_max: int = 1000,
     *,
     n_samples: int = 1024,
-    tol: float = FLAT_BAND_TOL,
 ) -> LocalizationReport:
     """Run the walk and assemble the full localization summary.
 
-    A flat band with a zero trapping estimate is not a contradiction: the
-    chosen initial state may simply have no overlap with the bound states,
-    which is why the flat-band flag is reported alongside the estimate
-    instead of being inferred from it.
+    The run length and the grid are checked, and the flat band detected,
+    before the walk starts.  A flat band with a zero trapping estimate is not
+    a contradiction: the chosen initial state may simply have no overlap with
+    the bound states, which is why the flat-band flag is reported alongside
+    the estimate instead of being inferred from it.
     """
+    if t_max + 1 < _MIN_SERIES:
+        raise ValueError(f"t_max must be at least {_MIN_SERIES - 1}: the "
+                         "trapping estimate needs a series of at least "
+                         f"{_MIN_SERIES} points")
+    flat, eigenvalue = flat_band_detect(coin, n_samples)
     series = origin_series(coin, psi_c, t_max)
     est = trapping_estimate(series)
-    flat, eigenvalue = flat_band_detect(coin, n_samples, tol)
     return LocalizationReport(series, est.windows, est.value, est.converged,
                               flat, eigenvalue)

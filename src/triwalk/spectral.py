@@ -4,11 +4,12 @@ Each Fourier mode evolves under the 3x3 unitary
 ``U(k) = diag(exp(-ik), 1, exp(ik)) . C``.  Its eigenphases omega_j(k) are
 the dispersion relations of the walk; their derivatives are group
 velocities, and the ballistic probability fronts travel at the extremal
-group velocity, attained where the second derivative of omega vanishes.
+group velocity, attained at the stationary wavenumber k0 where the second
+derivative of omega vanishes.
 
-Peak velocities use exact band slopes: by the Hellmann-Feynman theorem the
-band through the unit eigenvector v of U(k) has slope |v_R|^2 - |v_L|^2,
-so they need neither branch tracking nor differencing.
+Peak velocities and k0 use exact band slopes: by the Hellmann-Feynman
+theorem the band through the unit eigenvector v of U(k) has slope
+|v_R|^2 - |v_L|^2, so they need neither branch tracking nor differencing.
 
 Dispersion tables track branches across the momentum grid by phase
 continuation against a linear prediction (unwrapped, so a branch may wind
@@ -41,7 +42,6 @@ __all__ = [
     "dispersion_numeric",
     "dispersion_analytic",
     "group_velocity",
-    "stationary_point",
     "peak_velocities_numeric",
     "peak_velocity_c1",
     "peak_velocity_c2",
@@ -68,17 +68,11 @@ class BranchTrackingError(Exception):
         self.k = k
 
 
-def _wrap(x):
-    """Reduce phase differences to the principal interval around zero."""
-    return x - _TWO_PI * np.round(x / _TWO_PI)
-
-
 def momentum_propagator(coin: Coin, k: float) -> np.ndarray:
     """The 3x3 unitary diag(exp(-ik), 1, exp(ik)) . C for one Fourier mode."""
     if not math.isfinite(k):
         raise ValueError("momentum k must be finite")
-    phase = np.array([np.exp(-1j * k), 1.0, np.exp(1j * k)])
-    return phase[:, None] * coin.matrix
+    return _propagator_batch(coin.matrix, np.array([k]))[0]
 
 
 def _propagator_batch(matrix: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -96,7 +90,7 @@ class DispersionTable:
     ``branches[j]`` is a continuous (unwrapped) phase sequence;
     ``exp(i branches[:, n])`` reproduces the eigenvalue set of U(k_n).
     ``eigenvectors[n, :, j]``, when present, is the unit eigenvector of
-    branch j at sample n.  The source coin is kept for off-grid refinement.
+    branch j at sample n.  The source coin is kept for the JSON record.
     """
 
     k_grid: np.ndarray
@@ -131,12 +125,13 @@ class DispersionTable:
         omega = self.branches[branch]
         steps = np.empty_like(omega)
         steps[:-1] = np.diff(omega)
-        steps[-1] = _wrap(omega[0] - omega[-1])
+        seam = omega[0] - omega[-1]
+        steps[-1] = seam - _TWO_PI * np.round(seam / _TWO_PI)
         return steps
 
-    def is_flat(self, branch: int, tol: float = FLAT_BAND_TOL) -> bool:
+    def is_flat(self, branch: int) -> bool:
         omega = self.branches[branch]
-        return bool(np.max(np.abs(omega - omega.mean())) < tol)
+        return bool(np.max(np.abs(omega - omega.mean())) < FLAT_BAND_TOL)
 
     def to_csv(self, path) -> None:
         vs = [group_velocity(self, j) for j in range(3)]
@@ -158,14 +153,13 @@ def dispersion_numeric(
     coin: Coin,
     n_samples: int = DEFAULT_GRID,
     *,
-    branch_jump_threshold: float = BRANCH_JUMP_THRESHOLD,
     include_eigenvectors: bool = False,
 ) -> DispersionTable:
     """Sample and track the eigenphase branches of U(k) on [0, 2pi).
 
     Branches are continued sample to sample by the permutation of phases
     (each shifted by a multiple of 2pi) closest to the linear extrapolation
-    of the branch.  A step larger than ``branch_jump_threshold`` aborts with
+    of the branch.  A step larger than ``BRANCH_JUMP_THRESHOLD`` aborts with
     the offending k.  After tracking, the branch of least phase variance is
     moved to index 2, so a flat band always sits there; the other two are
     ordered by descending mean phase.
@@ -188,10 +182,10 @@ def dispersion_numeric(
         costs = np.max(np.abs(cand - pred), axis=1)
         best = int(np.argmin(costs))
         jump = float(np.max(np.abs(cand[best] - prev)))
-        if jump > branch_jump_threshold:
+        if jump > BRANCH_JUMP_THRESHOLD:
             raise BranchTrackingError(
                 f"branch jump {jump:.3g} rad exceeds threshold "
-                f"{branch_jump_threshold:.3g} at k = {ks[n]:.6f}",
+                f"{BRANCH_JUMP_THRESHOLD:.3g} at k = {ks[n]:.6f}",
                 k=float(ks[n]),
             )
         branches[:, n] = cand[best]
@@ -261,19 +255,18 @@ def group_velocity(table: DispersionTable, branch: int) -> np.ndarray:
 
 
 def _band_slopes(matrix: np.ndarray, ks: np.ndarray):
-    """Eigenvalues of U(k) and their exact slopes d omega/dk at every k.
+    """Exact slopes d omega/dk of the three eigenpairs of U(k) at every k.
 
-    Both arrays have shape ``ks.shape + (3,)``.  Since dU/dk =
+    The result has shape ``ks.shape + (3,)``.  Since dU/dk =
     i diag(-1, 0, 1) U, the Hellmann-Feynman theorem gives the slope of the
     band through the unit eigenvector v as |v_R|^2 - |v_L|^2, which lies in
     [-1, 1].  At a degenerate point any basis of the eigenspace gives values
     between the one-sided slopes of the bands that meet there, so extrema
     taken over samples never overshoot.
     """
-    lam, vec = _unitary_eig(_propagator_batch(matrix, ks.ravel()))
+    _, vec = _unitary_eig(_propagator_batch(matrix, ks.ravel()))
     weight = np.abs(vec) ** 2
-    shape = ks.shape + (3,)
-    return lam.reshape(shape), (weight[:, 2, :] - weight[:, 0, :]).reshape(shape)
+    return (weight[:, 2, :] - weight[:, 0, :]).reshape(ks.shape + (3,))
 
 
 def _zoom(objective, centers: np.ndarray, half_width: float):
@@ -295,52 +288,6 @@ def _zoom(objective, centers: np.ndarray, half_width: float):
         if half_width < _ZOOM_RESOLUTION:
             return c, np.take_along_axis(values, best, axis=1)[:, 0]
         half_width /= 4.0
-
-
-def _mirror(k: float) -> float:
-    """Representative of k in [0, pi] under k -> 2pi - k."""
-    k = float(k) % _TWO_PI
-    return min(k, _TWO_PI - k)
-
-
-def stationary_point(
-    table: DispersionTable,
-    branch: int,
-    *,
-    flat_tol: float = FLAT_BAND_TOL,
-) -> float | None:
-    """Wavenumber where the branch curvature d^2 omega/dk^2 vanishes.
-
-    Such a point is an extremum of the branch velocity.  The largest
-    finite-difference velocity (in magnitude) on the grid is refined off-grid
-    within one spacing, on the exact slope of the eigenpair whose phase lies
-    nearest the interpolated branch.  The result is reported as its
-    representative in [0, pi] under k -> 2pi - k, which maps the velocity
-    maximum of a parity-symmetric family onto its minimum.  Returns None for
-    flat branches.
-    """
-    if table.n_samples < 256:
-        raise ValueError("stationary point search needs at least 256 samples")
-    if table.is_flat(branch, flat_tol):
-        return None
-    h = table.spacing
-    v = group_velocity(table, branch)
-    i = int(np.argmax(np.abs(v)))
-    sign = 1.0 if v[i] > 0.0 else -1.0
-    omega = table.branches[branch]
-    steps = table.branch_steps(branch)
-
-    def objective(ks: np.ndarray) -> np.ndarray:
-        pos = ks / h
-        n = np.floor(pos)
-        idx = n.astype(int) % table.n_samples
-        ref = omega[idx] + (pos - n) * steps[idx]
-        lam, slopes = _band_slopes(table.coin.matrix, ks)
-        pick = np.argmin(np.abs(_wrap(np.angle(lam) - ref[..., None])), axis=-1)
-        return sign * np.take_along_axis(slopes, pick[..., None], axis=-1)[..., 0]
-
-    k, _ = _zoom(objective, table.k_grid[[i]], h)
-    return _mirror(k[0])
 
 
 class VelocityMethod(enum.Enum):
@@ -385,25 +332,27 @@ def peak_velocities_numeric(coin: Coin,
     The Hellmann-Feynman slope of every eigenpair is taken on the grid; the
     largest and the smallest are each refined off-grid within one spacing and
     give v_right and v_left.  No branch is tracked, so band touchings need no
-    special care.  k0 is where v_right is attained, as its representative in
-    [0, pi] under k -> 2pi - k; like :func:`stationary_point` it needs at
-    least 256 samples and is None on smaller grids.  A coin whose slopes all
-    vanish (every branch flat) does not spread: the velocities are zero and
-    k0 is absent.
+    special care.  k0 is the stationary wavenumber where v_right is attained,
+    as its representative in [0, pi] under k -> 2pi - k, which maps the
+    velocity maximum of a parity-symmetric family onto its minimum; it needs
+    at least 256 samples and is None on smaller grids.  A coin whose slopes
+    all vanish (every branch flat) does not spread: the velocities are zero
+    and k0 is absent.
     """
     if n_samples < 16:
         raise ValueError("velocity grid needs at least 16 samples")
     ks = np.arange(n_samples) * (_TWO_PI / n_samples)
-    _, slopes = _band_slopes(coin.matrix, ks)
+    slopes = _band_slopes(coin.matrix, ks)
     if np.max(np.abs(slopes)) < FLAT_BAND_TOL:
         return PeakVelocityResult(0.0, 0.0, None, VelocityMethod.NUMERIC)
     sign = np.array([1.0, -1.0])[:, None, None]
     centers = ks[[np.argmax(slopes.max(axis=1)), np.argmin(slopes.min(axis=1))]]
     k, v = _zoom(
-        lambda kk: (sign * _band_slopes(coin.matrix, kk)[1]).max(axis=-1),
+        lambda kk: (sign * _band_slopes(coin.matrix, kk)).max(axis=-1),
         centers, _TWO_PI / n_samples,
     )
-    k0 = _mirror(k[0]) if n_samples >= 256 else None
+    k0 = float(k[0]) % _TWO_PI
+    k0 = min(k0, _TWO_PI - k0) if n_samples >= 256 else None
     return PeakVelocityResult(-float(v[1]), float(v[0]), k0,
                               VelocityMethod.NUMERIC)
 

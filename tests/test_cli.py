@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import triwalk.cli as cli
+import triwalk.localization as localization
 from triwalk.cli import build_parser, main, parse_coin, parse_state
 from triwalk.coins import Coin, CoinFamily, coin_c2, fourier_coin, grover_coin
 from triwalk.localization import LocalizationReport
@@ -61,6 +62,22 @@ def test_readme_examples_parse():
         assert args.func is not None
 
 
+def test_readme_quick_start_runs(capsys):
+    # The "Library quick start" block runs as written, and each printed line
+    # matches its comment, where "..." stands for any text.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    comments = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    exec(block, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments) == 4
+    for out, comment in zip(printed, comments):
+        pattern = ".*".join(map(re.escape, comment.split("...")))
+        assert re.fullmatch(pattern, out), (out, comment)
+
+
 class TestCoinSpecGrammar:
     def test_named_coins(self):
         assert parse_coin("grover").family is CoinFamily.GROVER
@@ -108,6 +125,14 @@ class TestStateParsing:
             psi = parse_state(spec)
         assert psi.tolist() == [1, 0, 0]
         assert np.array_equal(psi, parse_state("2,0,0,0,0,0"))
+
+    def test_norm_beyond_double_range_reported(self, capsys):
+        # The true norm, sqrt(6) * 1e308, overflows a double.
+        psi = parse_state("1e308,1e308,1e308,1e308,1e308,1e308")
+        assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-12
+        err = capsys.readouterr().err
+        assert "inf" not in err
+        assert err == "warning: state norm was 2.44948974278e+308; normalizing\n"
 
 
 class TestSimulate:
@@ -315,6 +340,24 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert not path.exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--steps", "3000", "--grid", "128"],
+         "flat band detection needs at least 256 samples"),
+        (["--steps", "100"], "t_max must be at least 199"),
+    ], ids=["small-grid", "short-walk"])
+    def test_localize_checks_before_walking(self, tmp_path, capsys,
+                                            monkeypatch, options, message):
+        def no_walk(*args):
+            raise AssertionError("origin_series ran")
+
+        monkeypatch.setattr(localization, "origin_series", no_walk)
+        out = tmp_path / "loc.json"
+        assert main(["localize", *options, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(message)
+        assert not out.exists()
 
     GROVER_ENTRIES = json.loads(grover_coin().to_json())["matrix"]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import triwalk.spectral as spectral
 from triwalk.coins import Coin, CoinFamily, coin_c1, coin_c2, fourier_coin, grover_coin
 from triwalk.spectral import (
     BranchTrackingError,
@@ -19,7 +20,6 @@ from triwalk.spectral import (
     peak_velocities_numeric,
     peak_velocity_c1,
     peak_velocity_c2,
-    stationary_point,
 )
 from triwalk.walk import evolve, initial_state, peak_positions, probability_distribution
 
@@ -109,9 +109,10 @@ class TestDispersionNumeric:
         with pytest.raises(ValueError):
             dispersion_numeric(grover_coin(), 8)
 
-    def test_jump_threshold_reported(self):
+    def test_jump_threshold_reported(self, monkeypatch):
+        monkeypatch.setattr(spectral, "BRANCH_JUMP_THRESHOLD", 1e-5)
         with pytest.raises(BranchTrackingError) as err:
-            dispersion_numeric(grover_coin(), 64, branch_jump_threshold=1e-5)
+            dispersion_numeric(grover_coin(), 64)
         assert 0.0 < err.value.k < 2 * math.pi
 
     def test_eigenvector_pass(self):
@@ -184,31 +185,20 @@ class TestGroupVelocity:
 
 
 class TestStationaryPoint:
-    def test_grover_corner_at_zero(self):
-        table = dispersion_numeric(grover_coin(), 4096)
-        for j in range(2):
-            assert abs(stationary_point(table, j)) < 1e-6
+    """The stationary wavenumber k0 reported with the peak velocities.
+
+    The Grover corner is covered by ``TestPeakVelocitiesNumeric::test_grover``,
+    the all-flat coin and small grids by its k0-is-None tests.
+    """
 
     @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8, 0.95])
     def test_c2_corner_at_zero(self, rho):
-        table = dispersion_numeric(coin_c2(rho), 1024)
-        assert abs(stationary_point(table, 0)) < 1e-6
+        assert abs(peak_velocities_numeric(coin_c2(rho), 1024).k0) < 1e-6
 
     @pytest.mark.parametrize("phi", [0.4, math.pi / 4, 1.1])
     def test_c1_interior_inflection(self, phi):
-        table = dispersion_numeric(coin_c1(phi), 4096)
-        expected = c1_stationary_k(phi)
-        assert abs(stationary_point(table, 0) - expected) < 1e-6
-        assert abs(stationary_point(table, 1) - expected) < 1e-6
-
-    def test_flat_branch_returns_none(self):
-        table = dispersion_numeric(grover_coin(), 1024)
-        assert stationary_point(table, 2) is None
-
-    def test_small_table_rejected(self):
-        table = dispersion_numeric(grover_coin(), 128)
-        with pytest.raises(ValueError):
-            stationary_point(table, 0)
+        k0 = peak_velocities_numeric(coin_c1(phi)).k0
+        assert abs(k0 - c1_stationary_k(phi)) < 1e-6
 
 
 class TestPeakVelocitiesNumeric:
