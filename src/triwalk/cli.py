@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -185,10 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dev = linear_approx_deviation(p) if args.family == "c1" else v_ana - p
         return (p, v_ana, v_num, dev)
 
-    # One worker per CPU: the executor's default of cpu_count + 4 would hold
-    # more grids in memory at once.  pool.map keeps rows in parameter order.
-    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-        rows = list(pool.map(run_point, np.linspace(0.0, top, args.points)))
+    rows = [run_point(p) for p in np.linspace(0.0, top, args.points)]
 
     keys = ("parameter", "v_analytic", "v_numeric", "deviation_from_linear")
     _write_output(args, lambda path: _write_text(

@@ -10,6 +10,12 @@ derivative of omega vanishes.
 Peak velocities and k0 use exact band slopes: by the Hellmann-Feynman
 theorem the band through the unit eigenvector v of U(k) has slope
 |v_R|^2 - |v_L|^2, so they need neither branch tracking nor differencing.
+A cheaper coarse pass over the grid only locates the extremes: it solves
+the characteristic cubic of U(k) in closed form and differentiates it
+implicitly.  Samples near a band touching, where the cubic is
+ill-conditioned, fall back to the eigenvector slopes, and so does every
+sample whose slope ties with the grid extreme, so the extremes and the
+refinement that follows are those of the eigenvector slopes alone.
 
 Dispersion tables track branches across the momentum grid by phase
 continuation against a linear prediction (unwrapped, so a branch may wind
@@ -58,6 +64,12 @@ _PERMS = np.array(list(permutations(range(3))))
 _TWO_PI = 2.0 * math.pi
 # Off-grid refinement stops once its bracket is narrower than this (rad).
 _ZOOM_RESOLUTION = 1e-10
+# Below this |dp/dlambda| two eigenvalues nearly meet and the cubic's roots
+# lose accuracy, so the sample takes the eigenvector slopes instead.
+_CUBIC_GAP = 1e-3
+# Cubic slopes this close to a grid extreme are recomputed from eigenvectors;
+# the cubic is off by at most about 2e-10, so every tie is caught.
+_TIE_MARGIN = 1e-8
 
 
 class BranchTrackingError(Exception):
@@ -269,6 +281,43 @@ def _band_slopes(matrix: np.ndarray, ks: np.ndarray):
     return (weight[:, 2, :] - weight[:, 0, :]).reshape(ks.shape + (3,))
 
 
+def _cubic_slopes(matrix: np.ndarray, ks: np.ndarray):
+    """Slopes d omega/dk of the three roots of det(lambda - U(k)) at every k.
+
+    Returns ``(slopes, exact)``: slopes of shape ``(ks.size, 3)`` in no
+    particular band order, and a mask of the samples taken from
+    ``_band_slopes`` instead.  Since det U = d = det C and U is unitary, the
+    characteristic polynomial is p = lambda^3 - a lambda^2 + d conj(a) lambda
+    - d with a = tr U(k).  Cardano's formula gives its roots, and implicit
+    differentiation gives d lambda/dk = -(dp/dk) / (dp/dlambda), so the slope
+    is Re(lambda' / (i lambda)).  A sample where some |dp/dlambda| is below
+    ``_CUBIC_GAP`` sits near a band touching, where both steps lose
+    accuracy; it is marked and its slopes come from ``_band_slopes``.
+    """
+    em, ep = np.exp(-1j * ks), np.exp(1j * ks)
+    a = em * matrix[0, 0] + matrix[1, 1] + ep * matrix[2, 2]
+    da = 1j * (ep * matrix[2, 2] - em * matrix[0, 0])
+    d = np.linalg.det(matrix)
+    e2 = d * a.conj()
+    d0 = a * a - 3.0 * e2
+    d1 = (9.0 * e2 - 2.0 * a * a) * a - 27.0 * d
+    root = np.sqrt(d1 * d1 - 4.0 * d0 ** 3)
+    w = np.where(np.abs(d1 + root) >= np.abs(d1 - root), d1 + root, d1 - root)
+    c = (w / 2.0) ** (1.0 / 3.0)
+    c = c[:, None] * np.exp(_TWO_PI / 3.0 * 1j * np.arange(3))
+    # Three times the roots (the normalization drops the factor).  A triple
+    # root has c = 0 = d0, and its quotient d0/c is taken as 0.
+    lam = a[:, None] - c - d0[:, None] / np.where(c == 0.0, 1.0, c)
+    lam = lam / np.abs(lam)
+    dp = (3.0 * lam - 2.0 * a[:, None]) * lam + e2[:, None]
+    kp = (d * da.conj()[:, None] - da[:, None] * lam) * lam
+    near = np.abs(dp) < _CUBIC_GAP
+    slopes = np.real(-kp / (1j * lam * np.where(near, 1.0, dp)))
+    exact = near.any(axis=1)
+    slopes[exact] = _band_slopes(matrix, ks[exact])
+    return slopes, exact
+
+
 def _zoom(objective, centers: np.ndarray, half_width: float):
     """Maximize ``objective`` near each of ``centers`` by shrinking brackets.
 
@@ -276,7 +325,10 @@ def _zoom(objective, centers: np.ndarray, half_width: float):
     samples [c - w, c + w] at nine points, recentres on the best sample and
     quarters w, so the new bracket still holds both neighbours of the best
     sample; the centre itself is resampled, so the best value never drops.
-    Returns the final centres and their values.
+    Returns the final centres and their values.  The values are good to
+    rounding, but a centre only to about the square root of the rounding in
+    the values (measured 4-5e-8 rad), however narrow the final bracket: near
+    a maximum the objective is flat to second order.
     """
     offsets = np.linspace(-1.0, 1.0, 9)
     c = np.asarray(centers, dtype=float)
@@ -338,11 +390,26 @@ def peak_velocities_numeric(coin: Coin,
     at least 256 samples and is None on smaller grids.  A coin whose slopes
     all vanish (every branch flat) does not spread: the velocities are zero
     and k0 is absent.
+
+    The grid pass takes the slopes from the characteristic cubic
+    (``_cubic_slopes``), which sends samples near a band touching to the
+    eigenvector slopes.  Every other sample whose largest or smallest slope
+    lies within ``_TIE_MARGIN`` of the grid extreme is then recomputed from
+    eigenvectors too.  The cubic errs by far less than that margin, so the
+    grid extremes, the first sample attaining each (parity-symmetric coins
+    have mirror-image ties) and the results are exactly those of eigenvector
+    slopes on the whole grid.  The velocities are good to rounding; k0 only
+    to about 1e-7 rad, although it is printed with 17 digits, because the
+    slope is flat to second order at its maximum (see ``_zoom``).
     """
     if n_samples < 16:
         raise ValueError("velocity grid needs at least 16 samples")
     ks = np.arange(n_samples) * (_TWO_PI / n_samples)
-    slopes = _band_slopes(coin.matrix, ks)
+    slopes, exact = _cubic_slopes(coin.matrix, ks)
+    top, bottom = slopes.max(axis=1), slopes.min(axis=1)
+    ties = ~exact & ((top >= top.max() - _TIE_MARGIN)
+                     | (bottom <= bottom.min() + _TIE_MARGIN))
+    slopes[ties] = _band_slopes(coin.matrix, ks[ties])
     if np.max(np.abs(slopes)) < FLAT_BAND_TOL:
         return PeakVelocityResult(0.0, 0.0, None, VelocityMethod.NUMERIC)
     sign = np.array([1.0, -1.0])[:, None, None]

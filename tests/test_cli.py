@@ -38,14 +38,17 @@ def read_csv_distribution(path):
 
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; every CLI start imports triwalk.
+    # The CLI computes sweep rows in order, so it loads no thread pool either.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = ("import sys, triwalk; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    for module, unwanted in (("triwalk", "scipy"),
+                             ("triwalk.cli", "concurrent")):
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                f"if m.split('.')[0] == {unwanted!r}))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]", module
 
 
 def test_readme_examples_parse():

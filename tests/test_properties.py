@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ from triwalk.coins import (
     fourier_coin,
     grover_coin,
     grover_eigensystem,
+    permutation_coin,
 )
-from triwalk.spectral import peak_velocities_numeric
+from triwalk.spectral import _band_slopes, _cubic_slopes, peak_velocities_numeric
 from triwalk.walk import evolve, initial_state, probability_distribution, step
 
 from oracles import hf_velocity_range
@@ -70,6 +72,43 @@ def test_custom_coin_velocities_match_dense_scan(matrix):
     result = peak_velocities_numeric(Coin(matrix))
     assert abs(result.v_right - v_max) < 1e-6
     assert abs(result.v_left - v_min) < 1e-6
+
+
+GRID = np.arange(4096) * (2 * math.pi / 4096)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds)
+def test_cubic_slope_extremes_match_eigenvectors(seed):
+    matrix = haar_unitary(seed)
+    slopes, _ = _cubic_slopes(matrix, GRID)
+    reference = _band_slopes(matrix, GRID)
+    assert abs(slopes.max() - reference.max()) < 1e-9
+    assert abs(slopes.min() - reference.min()) < 1e-9
+
+
+@pytest.mark.parametrize("matrix", [permutation_coin().matrix,
+                                    coin_c2(0.0).matrix,
+                                    coin_c1(math.pi / 2).matrix])
+def test_cubic_falls_back_on_degenerate_coins(matrix):
+    # Two eigenvalues of U(k) coincide at every k: no sample uses the cubic.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        slopes, exact = _cubic_slopes(matrix, GRID)
+    assert exact.all()
+    assert np.array_equal(slopes, _band_slopes(matrix, GRID))
+
+
+def test_cubic_triple_root_falls_back():
+    # With the identity coin all three eigenvalues of U(0) equal 1, where
+    # Cardano's cube root vanishes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        slopes, exact = _cubic_slopes(np.eye(3), GRID)
+    assert exact[0]
+    reference = _band_slopes(np.eye(3), GRID)
+    assert abs(slopes.max() - reference.max()) < 1e-9
+    assert abs(slopes.min() - reference.min()) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)

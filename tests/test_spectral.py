@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import triwalk.spectral as spectral
-from triwalk.coins import Coin, CoinFamily, coin_c1, coin_c2, fourier_coin, grover_coin
+from triwalk.coins import (Coin, CoinFamily, coin_c1, coin_c2, fourier_coin,
+                           grover_coin, permutation_coin)
 from triwalk.spectral import (
     BranchTrackingError,
     DispersionTable,
@@ -22,6 +23,8 @@ from triwalk.spectral import (
     peak_velocity_c2,
 )
 from triwalk.walk import evolve, initial_state, peak_positions, probability_distribution
+
+from test_properties import haar_unitary
 
 V_GROVER = 1.0 / math.sqrt(3.0)
 
@@ -246,6 +249,42 @@ class TestPeakVelocitiesNumeric:
         res = peak_velocities_numeric(grover_coin(), 512)
         loaded = PeakVelocityResult.from_json(res.to_json())
         assert loaded == res
+
+
+def eigenvector_peak_search(coin: Coin, n: int):
+    """The peak search with eigenvector slopes on every grid sample."""
+    ks = np.arange(n) * (2 * math.pi / n)
+    slopes = spectral._band_slopes(coin.matrix, ks)
+    if np.max(np.abs(slopes)) < spectral.FLAT_BAND_TOL:
+        return 0.0, 0.0, None
+    sign = np.array([1.0, -1.0])[:, None, None]
+    centers = ks[[np.argmax(slopes.max(axis=1)), np.argmin(slopes.min(axis=1))]]
+    k, v = spectral._zoom(
+        lambda kk: (sign * spectral._band_slopes(coin.matrix, kk)).max(axis=-1),
+        centers, 2 * math.pi / n)
+    k0 = float(k[0]) % (2 * math.pi)
+    return -float(v[1]), float(v[0]), min(k0, 2 * math.pi - k0) if n >= 256 else None
+
+
+class TestCubicCoarsePass:
+    # The cubic only chooses where the zoom starts; every result must be bit
+    # for bit what eigenvector slopes on the whole grid give.
+    COINS = {"grover": grover_coin(), "pi": permutation_coin(),
+             "c1:0.6": coin_c1(0.6), "c1:2.0": coin_c1(2.0),
+             "c1:pi/2": coin_c1(math.pi / 2), "c2:0": coin_c2(0.0),
+             "c2:1-1e-9": coin_c2(1.0 - 1e-9), "c2:1": coin_c2(1.0),
+             "haar0": Coin(haar_unitary(0)), "haar7": Coin(haar_unitary(7))}
+
+    @pytest.mark.parametrize("n", [16, 128, 512, 4096])
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_matches_eigenvector_search(self, coin, n):
+        res = peak_velocities_numeric(coin, n)
+        assert (res.v_left, res.v_right, res.k0) == eigenvector_peak_search(coin, n)
+
+    def test_mirror_tie_keeps_first_sample(self):
+        # c1(0.6) attains its grid maximum at mirror-image samples; the first
+        # one sets k0.
+        assert peak_velocities_numeric(coin_c1(0.6)).k0 == 1.307777166922583
 
 
 class TestVelocityFormulas:
