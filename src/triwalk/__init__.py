@@ -1,94 +1,16 @@
-"""Three-state quantum walks on the line: simulation, band structure, localization."""
+"""Three-state quantum walks on the line: simulation, band structure, localization.
 
-from .coins import (
-    Coin,
-    CoinFamily,
-    EigenSystem,
-    InvariantViolation,
-    coin_c1,
-    coin_c2,
-    coin_from_spectral,
-    eigensystem_of,
-    fourier_coin,
-    grover_coin,
-    grover_eigensystem,
-    permutation_coin,
-    reflecting_coin,
-    transmitting_coin,
-)
-from .localization import (
-    LocalizationReport,
-    TrappingEstimate,
-    flat_band_detect,
-    localization_report,
-    origin_series,
-    trapping_estimate,
-)
-from .spectral import (
-    BranchTrackingError,
-    DispersionTable,
-    PeakVelocityResult,
-    VelocityMethod,
-    dispersion_analytic,
-    dispersion_numeric,
-    group_velocity,
-    linear_approx_deviation,
-    momentum_propagator,
-    peak_velocities_numeric,
-    peak_velocity_c1,
-    peak_velocity_c2,
-)
-from .walk import (
-    ProbabilityDistribution,
-    WalkState,
-    evolve,
-    initial_state,
-    peak_positions,
-    probability_distribution,
-    step,
-)
+Each module's ``__all__`` is its one list of public names; the package
+republishes them and adds ``__version__``.  Constants stay in their modules.
+"""
+
+from . import coins, localization, spectral, walk
+from .coins import *
+from .localization import *
+from .spectral import *
+from .walk import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Coin",
-    "CoinFamily",
-    "EigenSystem",
-    "InvariantViolation",
-    "coin_c1",
-    "coin_c2",
-    "coin_from_spectral",
-    "eigensystem_of",
-    "fourier_coin",
-    "grover_coin",
-    "grover_eigensystem",
-    "permutation_coin",
-    "reflecting_coin",
-    "transmitting_coin",
-    "LocalizationReport",
-    "TrappingEstimate",
-    "flat_band_detect",
-    "localization_report",
-    "origin_series",
-    "trapping_estimate",
-    "BranchTrackingError",
-    "DispersionTable",
-    "PeakVelocityResult",
-    "VelocityMethod",
-    "dispersion_analytic",
-    "dispersion_numeric",
-    "group_velocity",
-    "linear_approx_deviation",
-    "momentum_propagator",
-    "peak_velocities_numeric",
-    "peak_velocity_c1",
-    "peak_velocity_c2",
-    "ProbabilityDistribution",
-    "WalkState",
-    "evolve",
-    "initial_state",
-    "peak_positions",
-    "probability_distribution",
-    "step",
-    "__version__",
-]
+__all__ = [*coins.__all__, *localization.__all__, *spectral.__all__,
+           *walk.__all__, "__version__"]

@@ -2,9 +2,9 @@
 
 Runs walk simulations, dispersion scans, peak-velocity analyses, parameter
 sweeps, and localization reports, writing CSV or JSON data files suitable
-for plotting.  Exit codes: 0 success, 2 configuration error, 3 numeric or
-invariant failure, 4 I/O failure.  Failures emit a one-line JSON error
-object on stderr.
+for plotting.  Exit codes: 0 success, 2 configuration error (also a grid or
+walk too large for memory), 3 numeric or invariant failure, 4 I/O failure.
+Failures emit a one-line JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .coins import (
 )
 from .localization import localization_report
 from .spectral import (
+    DEFAULT_GRID,
     BranchTrackingError,
     dispersion_numeric,
     linear_approx_deviation,
@@ -220,15 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, state: bool = False) -> None:
-        p.add_argument("--coin", default="grover",
-                       help="grover | c1:<phi> | c2:<rho> | pi | matrix:<path>")
+    def add_common(p: argparse.ArgumentParser, *, coin: bool = True,
+                   state: bool = False) -> None:
+        if coin:
+            p.add_argument("--coin", default="grover",
+                           help="grover | c1:<phi> | c2:<rho> | pi | "
+                                "matrix:<path>")
         if state:
             p.add_argument("--state", default=_DEFAULT_STATE,
                            help="initial coin state, six reals re,im per "
                                 "component (default (1,-1,1)/sqrt(3))")
-        p.add_argument("--grid", type=int, default=4096,
-                       help="momentum grid size (default 4096)")
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                       help="momentum grid size (default %(default)s)")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
@@ -254,10 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--family", choices=("c1", "c2"), required=True)
     p_sweep.add_argument("--points", type=int, default=50,
                          help="number of parameter samples (default 50)")
-    p_sweep.add_argument("--grid", type=int, default=4096,
-                         help="momentum grid size per point (default 4096)")
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_common(p_sweep, coin=False)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_loc = sub.add_parser("localize", help="origin-probability trapping report")
@@ -281,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.grid < 16:
             raise ConfigError("--grid must be at least 16")
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         return _fail(2, exc)
     except (InvariantViolation, BranchTrackingError) as exc:
         return _fail(3, exc)

@@ -30,8 +30,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "UNITARITY_TOL",
-    "DIAGONALIZATION_TOL",
     "InvariantViolation",
     "CoinFamily",
     "Coin",
@@ -55,6 +53,14 @@ DIAGONALIZATION_TOL = 1e-10
 
 # Exchange of the L and R coin components (parity on the internal space).
 _EXCHANGE = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def _freeze(record, name: str, dtype) -> np.ndarray:
+    """Set array field ``name`` to a read-only ``dtype`` copy and return it."""
+    value = np.array(getattr(record, name), dtype=dtype)
+    value.setflags(write=False)
+    object.__setattr__(record, name, value)
+    return value
 
 
 class InvariantViolation(Exception):
@@ -91,7 +97,7 @@ class Coin:
     parameter: float | None = None
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
+        m = _freeze(self, "matrix", np.complex128)
         if m.shape != (3, 3):
             raise ValueError(f"coin matrix must be 3x3, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):
@@ -108,8 +114,6 @@ class Coin:
                 raise InvariantViolation(
                     f"{self.family.value} coin breaks L<->R symmetry by {sym:.3e}"
                 )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     def to_json(self) -> str:
         """Serialize as {family, parameter, matrix: [[re, im] x 9 row-major]}."""
@@ -187,8 +191,8 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.array(self.eigenvalues, dtype=np.complex128)
-        vec = np.array(self.eigenvectors, dtype=np.complex128)
+        lam = _freeze(self, "eigenvalues", np.complex128)
+        vec = _freeze(self, "eigenvectors", np.complex128)
         if lam.shape != (3,) or vec.shape != (3, 3):
             raise ValueError("eigensystem needs 3 eigenvalues and a 3x3 basis")
         if np.max(np.abs(np.abs(lam) - 1.0)) > UNITARITY_TOL:
@@ -196,10 +200,6 @@ class EigenSystem:
         gram = vec.conj().T @ vec
         if np.max(np.abs(gram - np.eye(3))) > UNITARITY_TOL:
             raise InvariantViolation("eigenvectors are not orthonormal")
-        lam.setflags(write=False)
-        vec.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", vec)
 
     @property
     def phases(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coins import Coin, _csv_text, _to_json, _write_text
+from .coins import Coin, _csv_text, _freeze, _to_json, _write_text
 from .spectral import dispersion_numeric
 from .walk import initial_state, step
 
@@ -100,9 +100,7 @@ class LocalizationReport:
     flat_band_eigenvalue: complex | None
 
     def __post_init__(self) -> None:
-        s = np.array(self.series, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "series", s)
+        _freeze(self, "series", float)
 
     def to_json(self) -> str:
         return _to_json(asdict(self))

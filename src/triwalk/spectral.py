@@ -33,13 +33,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .coins import (Coin, CoinFamily, InvariantViolation, _csv_text, _to_json,
-                    _unitary_eig, _write_text)
+from .coins import (Coin, CoinFamily, InvariantViolation, _csv_text, _freeze,
+                    _to_json, _unitary_eig, _write_text)
 
 __all__ = [
-    "DEFAULT_GRID",
-    "BRANCH_JUMP_THRESHOLD",
-    "FLAT_BAND_TOL",
     "BranchTrackingError",
     "DispersionTable",
     "VelocityMethod",
@@ -111,14 +108,10 @@ class DispersionTable:
     eigenvectors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        ks = np.asarray(self.k_grid, dtype=float)
-        br = np.asarray(self.branches, dtype=float)
+        ks = _freeze(self, "k_grid", float)
+        br = _freeze(self, "branches", float)
         if ks.ndim != 1 or br.shape != (3, ks.size):
             raise ValueError("need a 1-d k grid and (3, n) branch array")
-        ks.setflags(write=False)
-        br.setflags(write=False)
-        object.__setattr__(self, "k_grid", ks)
-        object.__setattr__(self, "branches", br)
 
     @property
     def n_samples(self) -> int:
@@ -450,6 +443,4 @@ def linear_approx_deviation(phi: float) -> float:
     returns peak_velocity_c1(phi) - (1 - 2 phi/pi)/sqrt(3), which vanishes
     at both endpoints.
     """
-    if not 0.0 <= phi <= math.pi / 2.0:
-        raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
     return peak_velocity_c1(phi) - (1.0 - 2.0 * phi / math.pi) / math.sqrt(3.0)

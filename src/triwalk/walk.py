@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin, _csv_text, _to_json, _write_text
+from .coins import Coin, _csv_text, _freeze, _to_json, _write_text
 
 __all__ = [
-    "NORM_TOL",
     "WalkState",
     "ProbabilityDistribution",
     "initial_state",
@@ -46,14 +45,12 @@ class WalkState:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("time must be non-negative")
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        amps = _freeze(self, "amplitudes", np.complex128)
         if amps.shape != (2 * self.time + 1, 3):
             raise ValueError(
                 f"state at t={self.time} needs shape {(2 * self.time + 1, 3)}, "
                 f"got {amps.shape}"
             )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def origin_offset(self) -> int:
@@ -83,13 +80,11 @@ class ProbabilityDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.probabilities, dtype=float)
+        p = _freeze(self, "probabilities", float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probabilities must be a non-empty 1-d sequence")
         if np.min(p) < -NORM_TOL:
             raise ValueError("probabilities must be non-negative")
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
 
     @property
     def m_max(self) -> int:

@@ -268,9 +268,9 @@ class TestSweep:
         vals = [r["v_analytic"] for r in rows]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_pool_rows_match_serial_order(self, tmp_path):
-        # The worker pool must merge rows in parameter order, each bit for
-        # bit what a serial computation of that point gives.
+    def test_rows_match_serial_order(self, tmp_path):
+        # Rows come in parameter order, each bit for bit what a serial
+        # recomputation of that point gives.
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--family", "c2", "--points", "5",
                      "--grid", "512", "--out", str(out)]) == 0
@@ -381,6 +381,23 @@ class TestErrorPaths:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+        assert not out.exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A grid too large for the machine is a configuration error; the
+        # allocation failure is simulated, nothing large is allocated.
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.07 GiB for an array")
+
+        monkeypatch.setattr(cli, "peak_velocities_numeric", no_memory)
+        out = tmp_path / "vel.json"
+        code = main(["velocity", "--grid", "50000000", "--out", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "MemoryError",
+            "message": "Unable to allocate 1.07 GiB for an array"}
         assert not out.exists()
 
     def test_invalid_matrix_exit_3(self, tmp_path, capsys):
