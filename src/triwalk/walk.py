@@ -2,10 +2,11 @@
 
 One step applies the coin to the amplitude triple at every site and then
 shifts: the L component moves one site left, S stays, R moves one site
-right.  After t steps the walker occupies at most the window [-t, t], so the
-state is stored densely over exactly that window and grows by one site per
-side per step.  No renormalization is ever applied; norm drift is a
-monitored invariant, not something to hide.
+right.  After t steps the walker occupies at most the window [-t, t], and a
+``WalkState`` stores exactly that window.  A walk runs in one preallocated
+buffer, wide enough for its last step, that is stepped in place over a
+window of sites (see ``_walk``).  No renormalization is ever applied; norm
+drift is a monitored invariant, not something to hide.
 """
 
 from __future__ import annotations
@@ -121,25 +122,49 @@ def initial_state(psi_c) -> WalkState:
     return WalkState(0, psi[None, :])
 
 
+def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):
+    """Step one buffer in place; yield it first and after each step.
+
+    Row ``half + m`` of the zeroed ``(2 * half + 1, 3)`` buffer holds lattice
+    site m, and it starts with ``amplitudes``, a window centred on the origin.
+    For each radius r the sites |m| <= r get the coin, as one row-major
+    matmul on that window, and then the shift, which writes sites
+    |m| <= r + 1; ``half`` must exceed every radius.  A radius below the
+    support leaves the sites beyond it stale.
+    """
+    buf = np.zeros((2 * half + 1, 3), dtype=np.complex128)
+    t = len(amplitudes) // 2
+    buf[half - t:half + t + 1] = amplitudes
+    yield buf
+    coin_t = coin.matrix.T
+    for r in radii:
+        lo, hi = half - r, half + r + 1
+        window = buf[lo:hi]
+        window[:] = window @ coin_t            # row i becomes C @ psi(site i)
+        buf[lo - 1:hi - 1, 0] = buf[lo:hi, 0]  # L moves to m - 1
+        buf[hi - 1, 0] = 0
+        buf[lo + 1:hi + 1, 2] = buf[lo:hi, 2]  # R moves to m + 1
+        buf[lo, 2] = 0
+        yield buf
+
+
 def step(state: WalkState, coin: Coin) -> WalkState:
     """Advance one step: coin on every site, then the conditional shift."""
-    # Row i of the result is C @ psi(site i).
-    mixed = state.amplitudes @ coin.matrix.T
-    n = mixed.shape[0]
-    out = np.zeros((n + 2, 3), dtype=np.complex128)
-    out[:n, 0] = mixed[:, 0]       # L moves to m - 1
-    out[1:n + 1, 1] = mixed[:, 1]  # S stays
-    out[2:, 2] = mixed[:, 2]       # R moves to m + 1
-    return WalkState(state.time + 1, out)
+    return evolve(state, coin, 1)
 
 
 def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:
-    """Apply ``steps`` walk steps."""
+    """Apply ``steps`` walk steps.
+
+    The walk runs in one zeroed ``(2T + 1, 3)`` buffer, T = ``state.time +
+    steps``, stepped in place over the support window [-t, t] at each time
+    t; the result holds a read-only copy of it.
+    """
     if steps < 0:
         raise ValueError("step count must be non-negative")
-    for _ in range(steps):
-        state = step(state, coin)
-    return state
+    end = state.time + steps
+    *_, buf = _walk(state.amplitudes, coin, range(state.time, end), end)
+    return WalkState(end, buf)
 
 
 def probability_distribution(state: WalkState) -> ProbabilityDistribution:

@@ -13,6 +13,7 @@ import pytest
 
 import triwalk.cli as cli
 import triwalk.localization as localization
+import triwalk.walk as walk
 from triwalk.cli import build_parser, main, parse_coin, parse_state
 from triwalk.coins import Coin, CoinFamily, coin_c2, fourier_coin, grover_coin
 from triwalk.localization import LocalizationReport
@@ -307,6 +308,22 @@ class TestLocalize:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,p0"
         assert len(lines) == 252
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--steps", "30"],
+    ["localize", "--steps", "200", "--grid", "256"],
+], ids=["simulate", "localize"])
+def test_walks_without_per_step_states(tmp_path, monkeypatch, command):
+    # Both commands step one preallocated buffer; none builds a WalkState per
+    # step through walk.step.
+    def no_step(*args):
+        raise AssertionError("walk.step ran")
+
+    monkeypatch.setattr(walk, "step", no_step)
+    monkeypatch.setattr(localization, "step", no_step, raising=False)
+    assert main([*command, "--out", str(tmp_path / "out.json"),
+                 "--format", "json"]) == 0
 
 
 class TestErrorPaths:

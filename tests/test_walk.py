@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import dense_evolve, fourier_evolve_distribution
+from test_properties import haar_unitary, random_state
 from triwalk.coins import (
+    Coin,
     coin_c1,
     coin_c2,
     grover_coin,
@@ -13,8 +15,10 @@ from triwalk.coins import (
     reflecting_coin,
     transmitting_coin,
 )
+from triwalk.localization import origin_series
 from triwalk.walk import (
     ProbabilityDistribution,
+    WalkState,
     evolve,
     initial_state,
     peak_positions,
@@ -132,6 +136,80 @@ class TestEvolve:
             evolve(initial_state(PSI_SYM), grover_coin(), t))
         for m, p in zip(dist.sites, dist.probabilities):
             assert abs(p - expected[int(m)]) < 1e-12
+
+
+def allocating_step(state, coin):
+    """One step as a fresh window: the arithmetic the in-place buffer keeps."""
+    mixed = state.amplitudes @ coin.matrix.T
+    n = mixed.shape[0]
+    out = np.zeros((n + 2, 3), dtype=np.complex128)
+    out[:n, 0] = mixed[:, 0]
+    out[1:n + 1, 1] = mixed[:, 1]
+    out[2:, 2] = mixed[:, 2]
+    return WalkState(state.time + 1, out)
+
+
+def allocating_evolve(state, coin, steps):
+    for _ in range(steps):
+        state = allocating_step(state, coin)
+    return state
+
+
+class TestInPlaceBuffer:
+    # Stepping one buffer in place, over the support window or only the
+    # backward light cone, must give bit for bit the amplitudes and origin
+    # probabilities of allocating a new window at every step.
+    COINS = {"grover": grover_coin(), "c2:1": coin_c2(1.0),
+             "pi": permutation_coin(), "identity": Coin(np.eye(3)),
+             "haar0": Coin(haar_unitary(0)), "haar1": Coin(haar_unitary(1)),
+             "haar2": Coin(haar_unitary(2))}
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_evolve_from_initial_state(self, coin, steps):
+        state = initial_state(random_state(5))
+        got = evolve(state, coin, steps)
+        assert got.time == steps
+        assert np.array_equal(got.amplitudes,
+                              allocating_evolve(state, coin, steps).amplitudes)
+
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_evolve_from_later_state(self, coin):
+        state = allocating_evolve(initial_state(PSI_SYM), coin, 9)
+        assert np.array_equal(evolve(state, coin, 20).amplitudes,
+                              allocating_evolve(state, coin, 20).amplitudes)
+
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_evolve_composes(self, coin):
+        state = initial_state(PSI_SYM)
+        for a, b in [(0, 5), (5, 0), (1, 1), (13, 30)]:
+            split = evolve(evolve(state, coin, a), coin, b)
+            assert split.time == a + b
+            assert np.array_equal(split.amplitudes,
+                                  evolve(state, coin, a + b).amplitudes)
+
+    @pytest.mark.parametrize("t_max", [1, 2, 3, 4, 199, 200, 401])
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_origin_series_light_cone(self, coin, t_max):
+        state = initial_state(PSI_SYM)
+        expected = [float(np.sum(np.abs(state.amplitudes[0]) ** 2))]
+        for _ in range(t_max):
+            state = allocating_step(state, coin)
+            expected.append(float(np.sum(np.abs(state.site_amplitudes(0)) ** 2)))
+        assert np.array_equal(origin_series(coin, PSI_SYM, t_max), expected)
+
+    def test_step_is_one_evolve_step(self):
+        state = evolve(initial_state(PSI_SYM), coin_c1(0.6), 4)
+        assert np.array_equal(step(state, coin_c1(0.6)).amplitudes,
+                              allocating_step(state, coin_c1(0.6)).amplitudes)
+
+    def test_input_untouched_and_result_frozen(self):
+        state = evolve(initial_state(PSI_SYM), grover_coin(), 3)
+        before = state.amplitudes.copy()
+        later = evolve(state, grover_coin(), 5)
+        assert np.array_equal(state.amplitudes, before)
+        assert not later.amplitudes.flags.writeable
+        assert not np.shares_memory(later.amplitudes, state.amplitudes)
 
 
 class TestProbabilityDistribution:
