@@ -114,10 +114,6 @@ class DispersionTable:
             raise ValueError("need a 1-d k grid and (3, n) branch array")
 
     @property
-    def n_samples(self) -> int:
-        return self.k_grid.size
-
-    @property
     def spacing(self) -> float:
         return float(self.k_grid[1] - self.k_grid[0])
 

@@ -58,10 +58,6 @@ class WalkState:
         """Lattice index of the first stored site."""
         return -self.time
 
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(-self.time, self.time + 1)
-
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 

@@ -381,15 +381,31 @@ class TestErrorPaths:
 
     GROVER_ENTRIES = json.loads(grover_coin().to_json())["matrix"]
 
-    @pytest.mark.parametrize("record", [
-        {"family": "grover"},
-        GROVER_ENTRIES,
-        {"family": "c1", "parameter": None, "matrix": GROVER_ENTRIES},
+    SCHEMA = "coin JSON must be an object with a family"
+
+    @pytest.mark.parametrize("record,message", [
+        ({"family": "grover"}, SCHEMA),
+        (GROVER_ENTRIES, SCHEMA),
+        ({"family": "c1", "parameter": None, "matrix": GROVER_ENTRIES},
+         SCHEMA),
         # The Grover matrix is c2 at rho = 1/sqrt(3), not at 0.3.
-        {"family": "c2", "parameter": 0.3, "matrix": GROVER_ENTRIES},
+        ({"family": "c2", "parameter": 0.3, "matrix": GROVER_ENTRIES},
+         "matrix is not the c2 coin at parameter 0.3"),
+        # Only c1 and c2 carry a parameter.
+        ({"family": "custom", "parameter": 0.5, "matrix": GROVER_ENTRIES},
+         SCHEMA),
+        ({"family": "custom", "parameter": None,
+          "matrix": GROVER_ENTRIES[:2]}, SCHEMA),
+        ({"family": "custom", "parameter": None,
+          "matrix": [z + [0.0] for z in GROVER_ENTRIES]}, SCHEMA),
+        # The constructor's range check is reported as it is.
+        ({"family": "c2", "parameter": 2, "matrix": GROVER_ENTRIES},
+         "rho must lie in [0, 1]"),
     ], ids=["missing-key", "not-an-object", "c1-without-parameter",
-            "c2-label-mismatch"])
-    def test_malformed_coin_file_exit_2(self, tmp_path, capsys, record):
+            "c2-label-mismatch", "custom-with-parameter", "two-entries",
+            "nine-triples", "c2-out-of-range"])
+    def test_malformed_coin_file_exit_2(self, tmp_path, capsys, record,
+                                        message):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(record))
         out = tmp_path / "x.csv"
@@ -398,6 +414,7 @@ class TestErrorPaths:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+        assert err["message"].startswith(message)
         assert not out.exists()
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -58,7 +59,26 @@ def all_family_coins():
              transmitting_coin()]
     coins += [coin_c1(phi) for phi in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2)]
     coins += [coin_c2(rho) for rho in (0.0, 0.25, 1 / math.sqrt(3), 0.8, 1.0)]
+    # Next to the degenerate points.
+    coins += [coin_c1(phi) for phi in (1e-9, math.pi - 1e-9)]
+    coins += [coin_c2(rho) for rho in (1e-9, 1 - 1e-9)]
     return coins
+
+
+def closed_form_spectrum(coin: Coin) -> np.ndarray:
+    """The eigenvalues a named coin has by construction."""
+    if coin.family is CoinFamily.C1:
+        return np.array([-np.exp(2j * coin.parameter), -1, 1])
+    if coin.family is CoinFamily.PERMUTATION_PI:
+        return np.array([1, -1, 1])
+    # Grover, reflecting, transmitting and c2 share the Grover spectrum.
+    return np.array([-1, -1, 1])
+
+
+def spectrum_distance(got, expected) -> float:
+    """Largest eigenvalue error under the best matching of the two lists."""
+    return min(np.max(np.abs(got[list(order)] - expected))
+               for order in itertools.permutations(range(3)))
 
 
 class TestGroverCoin:
@@ -201,6 +221,16 @@ class TestEigensystemOf:
     def test_reconstruction(self, coin):
         es = eigensystem_of(coin)
         assert np.max(np.abs(es.reconstruct() - coin.matrix)) < 1e-10
+        gram = es.eigenvectors.conj().T @ es.eigenvectors
+        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+        assert spectrum_distance(es.eigenvalues,
+                                 closed_form_spectrum(coin)) < 1e-12
+
+    @pytest.mark.parametrize("coin", all_family_coins())
+    def test_family_label_does_not_change_the_method(self, coin):
+        named, custom = eigensystem_of(coin), eigensystem_of(Coin(coin.matrix))
+        assert np.array_equal(named.eigenvalues, custom.eigenvalues)
+        assert np.array_equal(named.eigenvectors, custom.eigenvectors)
 
     def test_reconstruction_of_custom_degenerate(self):
         # Degenerate eigenvalues through the numeric path: a degenerate pair,
