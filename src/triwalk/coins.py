@@ -133,6 +133,10 @@ class Coin:
             if len(entries) != 9 or any(len(z) != 2 for z in entries):
                 raise TypeError("matrix needs 9 [re, im] entries")
             m = np.array([complex(re, im) for re, im in entries])
+            # A JSON number only: no string, and no bool (an int in Python).
+            if param is not None and (isinstance(param, bool)
+                                      or not isinstance(param, (int, float))):
+                raise TypeError("parameter must be a number or null")
             args = () if param is None else (float(param),)
             coin = cls(m.reshape(3, 3), family, *args)
             named = _NAMED_COINS.get(family, lambda: coin)(*args)

@@ -20,7 +20,11 @@ refinement that follows are those of the eigenvector slopes alone.
 Dispersion tables track branches across the momentum grid by phase
 continuation against a linear prediction (unwrapped, so a branch may wind
 out of (-pi, pi] across the zone), with finite-difference group
-velocities.  The flat branch, when present, is moved to index 2.
+velocities.  The flat branch, when present, is moved to index 2.  The
+sequential tracking rule defines the branches: each sample follows from
+the two before it.  It is solved in bulk, by a guess that is then checked
+against the rule at every sample at once, with the rule itself run only
+where the check fails, so the branches are those of the rule bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +62,12 @@ BRANCH_JUMP_THRESHOLD = math.pi / 4
 FLAT_BAND_TOL = 1e-8
 
 _PERMS = np.array(list(permutations(range(3))))
+# _COMPOSE[a, b] indexes the permutation _PERMS[a][_PERMS[b]].
+_COMPOSE = np.array([[_PERMS.tolist().index(list(a[b])) for b in _PERMS]
+                     for a in _PERMS])
+# Samples run through the tracking rule after a failed guess, before the
+# rest of the grid is guessed again.
+_REPAIR_BLOCK = 16
 _TWO_PI = 2.0 * math.pi
 # Off-grid refinement stops once its bracket is narrower than this (rad).
 _ZOOM_RESOLUTION = 1e-10
@@ -161,36 +171,17 @@ def dispersion_numeric(
     Branches are continued sample to sample by the permutation of phases
     (each shifted by a multiple of 2pi) closest to the linear extrapolation
     of the branch.  A step larger than ``BRANCH_JUMP_THRESHOLD`` aborts with
-    the offending k.  After tracking, the branch of least phase variance is
-    moved to index 2, so a flat band always sits there; the other two are
-    ordered by descending mean phase.
+    the offending k.  This sequential rule is the definition; it is solved
+    by speculation and exact verification (see ``_track``), and the result
+    is the rule's bit for bit.  After tracking, the branch of least phase
+    variance is moved to index 2, so a flat band always sits there; the
+    other two are ordered by descending mean phase.
     """
     if n_samples < 16:
         raise ValueError("dispersion grid needs at least 16 samples")
     ks = np.arange(n_samples) * (_TWO_PI / n_samples)
     raw = np.angle(np.linalg.eigvals(_propagator_batch(coin.matrix, ks)))
-
-    branches = np.empty((3, n_samples))
-    branches[:, 0] = np.sort(raw[0])
-    prev2 = prev = branches[:, 0]
-    for n in range(1, n_samples):
-        # Matching against the linear extrapolation (not the last value)
-        # carries each branch straight through an exact band crossing,
-        # where all assignments are equally near the previous sample.
-        pred = 2.0 * prev - prev2
-        cand = raw[n][_PERMS]                       # (6, 3) phase orderings
-        cand = cand + _TWO_PI * np.round((pred - cand) / _TWO_PI)
-        costs = np.max(np.abs(cand - pred), axis=1)
-        best = int(np.argmin(costs))
-        jump = float(np.max(np.abs(cand[best] - prev)))
-        if jump > BRANCH_JUMP_THRESHOLD:
-            raise BranchTrackingError(
-                f"branch jump {jump:.3g} rad exceeds threshold "
-                f"{BRANCH_JUMP_THRESHOLD:.3g} at k = {ks[n]:.6f}",
-                k=float(ks[n]),
-            )
-        branches[:, n] = cand[best]
-        prev2, prev = prev, branches[:, n]
+    branches = _track(raw, ks)
 
     spread = np.max(np.abs(branches - branches.mean(axis=1, keepdims=True)), axis=1)
     flat = int(np.argmin(spread))
@@ -203,6 +194,90 @@ def dispersion_numeric(
     if include_eigenvectors:
         vectors = _eigenvector_pass(coin.matrix, ks, branches)
     return DispersionTable(ks, branches, coin, vectors)
+
+
+def _continue_branches(raw: np.ndarray, prev: np.ndarray, prev2: np.ndarray):
+    """The tracking rule, at one sample or at every row of a batch at once.
+
+    Continues branch values ``prev`` (and ``prev2`` one sample earlier) onto
+    the eigenphases ``raw``; each has shape (3,) or (m, 3).  Returns the new
+    values, the index into ``_PERMS`` of the assignment taken and the
+    largest jump.
+    """
+    # Matching against the linear extrapolation (not the last value) carries
+    # each branch straight through an exact band crossing, where all
+    # assignments are equally near the previous sample.
+    pred = (2.0 * prev - prev2)[..., None, :]
+    cand = raw[..., _PERMS]                     # (..., 6, 3) phase orderings
+    cand = cand + _TWO_PI * ((pred - cand) / _TWO_PI).round()
+    best = np.abs(cand - pred).max(axis=-1).argmin(axis=-1)
+    values = cand[best] if raw.ndim == 1 else cand[np.arange(len(raw)), best]
+    return values, best, np.abs(values - prev).max(axis=-1)
+
+
+def _apply_rule(raw: np.ndarray, ks: np.ndarray, out: np.ndarray,
+                start: int, stop: int) -> int:
+    """Run the tracking rule sample by sample over [start, stop).
+
+    ``out[n + 1]`` holds sample n.  Returns the assignment index of the last
+    sample; raises ``BranchTrackingError`` at the first excessive jump.
+    """
+    for n in range(start, stop):
+        values, best, jump = _continue_branches(raw[n], out[n], out[n - 1])
+        if jump > BRANCH_JUMP_THRESHOLD:
+            raise BranchTrackingError(
+                f"branch jump {jump:.3g} rad exceeds threshold "
+                f"{BRANCH_JUMP_THRESHOLD:.3g} at k = {ks[n]:.6f}",
+                k=float(ks[n]),
+            )
+        out[n + 1] = values
+    return int(best)
+
+
+def _track(raw: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Solve the tracking recurrence over the grid; returns (3, n) branches.
+
+    Sample 0 takes the sorted phases and every later sample the result of
+    ``_continue_branches`` on the two before it.  The solution is guessed
+    in bulk and then checked against the rule at every sample at once: an
+    array that satisfies the recurrence bit for bit is its one solution.
+    The guess continues each phase to its nearest neighbour in the next
+    sample.  At the first sample that fails the check the rule runs for
+    ``_REPAIR_BLOCK`` samples and the tail is guessed again; a second
+    failure runs the rule to the end.
+    """
+    n = len(raw)
+    out = np.empty((n + 1, 3))                  # out[0] repeats sample 0
+    out[0] = out[1] = np.sort(raw[0])
+    # step[i]: the assignment that carries sample i onto its nearest
+    # neighbours in sample i + 1, which is the rule with a zero slope.
+    _, step, _ = _continue_branches(raw[1:], raw[:-1], raw[:-1])
+    start, perm = 1, _PERMS.tolist().index(np.argsort(raw[0]).tolist())
+    for block in (_REPAIR_BLOCK, n):
+        if start == n:
+            break
+        # Assignments of samples start - 1 .. n - 1 by a doubling scan.
+        scan = np.concatenate(([perm], step[start - 1:]))
+        shift = 1
+        while shift < scan.size:
+            scan[shift:] = _COMPOSE[scan[shift:], scan[:-shift]]
+            shift *= 2
+        phases = np.take_along_axis(raw[start - 1:], _PERMS[scan], axis=1)
+        winding = np.round((out[start] - phases[0]) / _TWO_PI) + np.cumsum(
+            np.round((phases[:-1] - phases[1:]) / _TWO_PI), axis=0)
+        out[start + 1:] = phases[1:] + _TWO_PI * winding
+        values, _, jump = _continue_branches(raw[start:], out[start:n],
+                                             out[start - 1:n - 1])
+        bad = np.any(values.view(np.int64) != out[start + 1:].view(np.int64),
+                     axis=1) | (jump > BRANCH_JUMP_THRESHOLD)
+        if not bad.any():
+            break
+        first = start + int(np.argmax(bad))
+        start = min(first + block, n)
+        perm = _apply_rule(raw, ks, out, first, start)
+    # C order, as the loop wrote it: a strided view sums its means in
+    # another order, with other rounding.
+    return np.ascontiguousarray(out[1:].T)
 
 
 def _eigenvector_pass(matrix: np.ndarray, ks: np.ndarray,

@@ -417,6 +417,19 @@ class TestErrorPaths:
         assert err["message"].startswith(message)
         assert not out.exists()
 
+    def test_non_number_parameter_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps({"family": "c1", "parameter": "x",
+                                    "matrix": self.GROVER_ENTRIES}))
+        out = tmp_path / "x.csv"
+        code = main(["dispersion", "--coin", f"matrix:{path}", "--grid", "64",
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(self.SCHEMA)
+        assert not out.exists()
+
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         # A grid too large for the machine is a configuration error; the
         # allocation failure is simulated, nothing large is allocated.

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -297,10 +298,30 @@ class TestCoinSerialization:
         assert Coin.from_json(text).parameter == coin_c1(-0.5).parameter
 
     def test_json_schema(self):
-        import json
-
         data = json.loads(coin_c2(0.5).to_json())
         assert set(data) == {"family", "parameter", "matrix"}
         assert data["family"] == "c2"
         assert len(data["matrix"]) == 9
         assert all(len(entry) == 2 for entry in data["matrix"])
+
+    SCHEMA = "coin JSON must be an object with a family"
+
+    @pytest.mark.parametrize("family,parameter", [
+        ("c1", "x"), ("c1", "0.5"), ("c2", "0.5"), ("c1", True),
+        ("c2", False), ("c1", [0.5]), ("c2", {"rho": 0.5}),
+    ])
+    def test_parameter_must_be_a_json_number(self, family, parameter):
+        data = json.loads(coin_c1(0.5).to_json())
+        text = json.dumps({**data, "family": family, "parameter": parameter})
+        with pytest.raises(ValueError, match=self.SCHEMA):
+            Coin.from_json(text)
+
+    def test_integer_parameter_accepted(self):
+        data = json.loads(coin_c2(1.0).to_json())
+        coin = Coin.from_json(json.dumps({**data, "parameter": 1}))
+        assert coin.parameter == 1.0
+
+    def test_constructor_range_error_kept(self):
+        data = json.loads(coin_c2(0.5).to_json())
+        with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\], got 2.0$"):
+            Coin.from_json(json.dumps({**data, "parameter": 2}))

@@ -65,6 +65,15 @@ def test_custom_coin_respects_light_cone(seed):
     assert result.v_left >= -1.0 - 1e-9
 
 
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(min_value=16, max_value=128))
+def test_branch_tracking_matches_loop(seed, n):
+    # test_spectral imports this module, so its helper is imported here.
+    from test_spectral import assert_tracks_like_loop
+
+    assert_tracks_like_loop(Coin(haar_unitary(seed)), n)
+
+
 @pytest.mark.parametrize("matrix", [fourier_coin().matrix, haar_unitary(0),
                                     haar_unitary(1), haar_unitary(2)])
 def test_custom_coin_velocities_match_dense_scan(matrix):

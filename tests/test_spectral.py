@@ -131,6 +131,120 @@ class TestDispersionNumeric:
             assert np.max(np.abs(gram - np.eye(3))) < 1e-10
 
 
+def loop_branches(coin: Coin, n: int) -> np.ndarray:
+    """The dispersion branches by the tracking rule, one sample at a time."""
+    ks = np.arange(n) * (2 * math.pi / n)
+    raw = np.angle(np.linalg.eigvals(spectral._propagator_batch(coin.matrix, ks)))
+    branches = np.empty((3, n))
+    branches[:, 0] = np.sort(raw[0])
+    prev2 = prev = branches[:, 0]
+    for i in range(1, n):
+        pred = 2.0 * prev - prev2
+        cand = raw[i][spectral._PERMS]
+        cand = cand + 2 * math.pi * np.round((pred - cand) / (2 * math.pi))
+        best = int(np.argmin(np.max(np.abs(cand - pred), axis=1)))
+        jump = float(np.max(np.abs(cand[best] - prev)))
+        if jump > spectral.BRANCH_JUMP_THRESHOLD:
+            raise BranchTrackingError(
+                f"branch jump {jump:.3g} rad exceeds threshold "
+                f"{spectral.BRANCH_JUMP_THRESHOLD:.3g} at k = {ks[i]:.6f}",
+                k=float(ks[i]))
+        branches[:, i] = cand[best]
+        prev2, prev = prev, branches[:, i]
+    spread = np.max(np.abs(branches - branches.mean(axis=1, keepdims=True)), axis=1)
+    flat = int(np.argmin(spread))
+    rest = sorted((j for j in range(3) if j != flat),
+                  key=lambda j: -branches[j].mean())
+    return branches[[*rest, flat]]
+
+
+def assert_tracks_like_loop(coin: Coin, n: int) -> None:
+    """Same branch bits as ``loop_branches``, or the same error."""
+    try:
+        expected = loop_branches(coin, n)
+    except BranchTrackingError as err:
+        with pytest.raises(BranchTrackingError) as got:
+            dispersion_numeric(coin, n)
+        assert (str(got.value), got.value.k) == (str(err), err.k)
+        return
+    branches = dispersion_numeric(coin, n).branches
+    # Bit patterns, so that -0.0 and 0.0 differ too.
+    assert np.array_equal(branches.view(np.int64), expected.view(np.int64))
+
+
+class TestBranchTracking:
+    # dispersion_numeric solves the tracking recurrence by guessing and
+    # verifying; its branches must be bit for bit those of the plain loop.
+    COINS = {"grover": grover_coin(), "pi": permutation_coin(),
+             "fourier": fourier_coin(),
+             **{f"c1:{p:.6g}": coin_c1(p)
+                for p in (0.0, 0.6, math.pi / 4, math.pi / 2, 2.0)},
+             **{f"c2:{r:.10g}": coin_c2(r)
+                for r in (0.0, 1e-9, 1 / math.sqrt(3), 1 - 1e-6, 1 - 1e-9, 1.0)},
+             **{f"haar{s}": Coin(haar_unitary(s)) for s in range(8)}}
+
+    @pytest.mark.parametrize("n", [16, 256, 1024, 4096])
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_matches_loop(self, coin, n):
+        assert_tracks_like_loop(coin, n)
+
+    @pytest.mark.parametrize("threshold", [1e-5, 0.05, 0.3])
+    @pytest.mark.parametrize("coin,n", [
+        (grover_coin(), 64), (coin_c1(0.6), 32), (coin_c2(1.0), 16),
+        (coin_c2(1.0), 256), (permutation_coin(), 64),
+        (Coin(haar_unitary(1)), 16), (Coin(haar_unitary(2)), 64),
+    ])
+    def test_same_error_as_loop(self, monkeypatch, coin, n, threshold):
+        monkeypatch.setattr(spectral, "BRANCH_JUMP_THRESHOLD", threshold)
+        assert_tracks_like_loop(coin, n)
+
+    @pytest.mark.parametrize("coin,n,threshold,sample", [
+        (coin_c1(0.6), 32, 0.05, 4), (Coin(haar_unitary(2)), 64, 0.05, 8),
+        (Coin(haar_unitary(1)), 16, 0.3, 13),
+    ])
+    def test_jump_past_first_sample(self, monkeypatch, coin, n, threshold,
+                                    sample):
+        # The guess is checked past the jump; the error names the first one.
+        monkeypatch.setattr(spectral, "BRANCH_JUMP_THRESHOLD", threshold)
+        with pytest.raises(BranchTrackingError) as err:
+            dispersion_numeric(coin, n)
+        assert err.value.k == sample * (2 * math.pi / n)
+
+    def rule_calls(self, monkeypatch, coin, n):
+        """Dimensions of the batches the tracking rule was called with."""
+        calls = []
+        rule = spectral._continue_branches
+
+        def counted(raw, prev, prev2):
+            calls.append(raw.ndim)
+            return rule(raw, prev, prev2)
+
+        monkeypatch.setattr(spectral, "_continue_branches", counted)
+        assert_tracks_like_loop(coin, n)
+        return calls
+
+    def test_guess_verified_in_one_pass(self, monkeypatch):
+        # One batch guesses the assignments, one checks the guess.
+        assert self.rule_calls(monkeypatch, coin_c1(0.6), 4096) == [2, 2]
+
+    @pytest.mark.parametrize("rho", [1.0, 1.0 - 1e-9])
+    def test_repair_at_band_touching(self, monkeypatch, rho):
+        # Nearest neighbours bounce off the touching at k = pi, while the
+        # rule's linear prediction carries the branches through it.
+        calls = self.rule_calls(monkeypatch, coin_c2(rho), 4096)
+        assert calls == [2, 2] + [1] * spectral._REPAIR_BLOCK + [2]
+
+    @pytest.mark.parametrize("coin", [permutation_coin(), coin_c1(math.pi / 2)],
+                             ids=["pi", "c1:pi/2"])
+    def test_sequential_fallback(self, monkeypatch, coin):
+        # A degenerate pair at every k: rounding picks each assignment, so
+        # the second guess fails too and the rule runs to the end.
+        calls = self.rule_calls(monkeypatch, coin, 4096)
+        assert calls[:spectral._REPAIR_BLOCK + 3] == (
+            [2, 2] + [1] * spectral._REPAIR_BLOCK + [2])
+        assert calls.count(2) == 3 and len(calls) > 4096 // 2
+
+
 class TestDispersionAnalytic:
     def test_grover_band_edges(self):
         w1, w2, w3 = dispersion_analytic(CoinFamily.GROVER, None, 0.0)
