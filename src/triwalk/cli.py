@@ -164,7 +164,7 @@ def cmd_velocity(args: argparse.Namespace) -> int:
     result = peak_velocities_numeric(coin, args.grid)
     _write_output(args, lambda path: _write_text(path, _csv_text(
         "v_left,v_right,k0,method", [result.v_left], [result.v_right],
-        [result.k0], [result.method.value])), result.to_json)
+        [result.k0], [result.method])), result.to_json)
     print(f"v_left = {result.v_left:.9f}, v_right = {result.v_right:.9f}")
     return 0
 

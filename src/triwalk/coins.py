@@ -56,8 +56,8 @@ _EXCHANGE = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def _freeze(record, name: str, dtype) -> np.ndarray:
-    """Set array field ``name`` to a read-only ``dtype`` copy and return it."""
-    value = np.array(getattr(record, name), dtype=dtype)
+    """Set field ``name`` to a read-only C-ordered ``dtype`` copy; return it."""
+    value = np.array(getattr(record, name), dtype=dtype, order="C")
     value.setflags(write=False)
     object.__setattr__(record, name, value)
     return value

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coins import Coin, _csv_text, _freeze, _to_json, _write_text
 from .spectral import dispersion_numeric
-from .walk import _walk, initial_state
+from .walk import _count, _walk, initial_state
 
 __all__ = [
     "TrappingEstimate",
@@ -48,14 +48,14 @@ def origin_series(coin: Coin, psi_c, t_max: int) -> np.ndarray:
     ``2 * (t_max // 2 + 1) + 1`` sites: about half the work of a full
     ``evolve``, with the same amplitudes on the cone.
     """
-    if t_max < 1:
+    if _count(t_max, "t_max") < 1:
         raise ValueError("t_max must be at least 1")
     half = t_max // 2 + 1
     radii = (min(t, t_max - t) for t in range(t_max))
     origin = np.empty((t_max + 1, 3), dtype=np.complex128)
     walk = _walk(initial_state(psi_c).amplitudes, coin, radii, half)
     for t, buf in enumerate(walk):
-        origin[t] = buf[half]
+        origin[t] = buf[:, half]
     return np.sum(np.abs(origin) ** 2, axis=1)
 
 

@@ -29,7 +29,6 @@ where the check fails, so the branches are those of the rule bit for bit.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -43,7 +42,6 @@ from .coins import (Coin, CoinFamily, InvariantViolation, _csv_text, _freeze,
 __all__ = [
     "BranchTrackingError",
     "DispersionTable",
-    "VelocityMethod",
     "PeakVelocityResult",
     "momentum_propagator",
     "dispersion_numeric",
@@ -406,24 +404,19 @@ def _zoom(objective, centers: np.ndarray, half_width: float):
         half_width /= 4.0
 
 
-class VelocityMethod(enum.Enum):
-    ANALYTIC = "analytic"
-    NUMERIC = "numeric"
-
-
 @dataclass(frozen=True)
 class PeakVelocityResult:
     """Velocities of the ballistic probability fronts.
 
     ``v_right``/``v_left`` are the extremal group velocities in sites per
     step; ``k0`` is the stationary wavenumber they are attained at, when one
-    was identified.
+    was identified.  ``method`` names how they were found.
     """
 
     v_left: float
     v_right: float
     k0: float | None
-    method: VelocityMethod
+    method: str = "numeric"
 
     def __post_init__(self) -> None:
         if abs(self.v_right) > 1.0 + 1e-9 or abs(self.v_left) > 1.0 + 1e-9:
@@ -437,8 +430,7 @@ class PeakVelocityResult:
 
     @classmethod
     def from_json(cls, text: str) -> "PeakVelocityResult":
-        data = json.loads(text)
-        return cls(**{**data, "method": VelocityMethod(data["method"])})
+        return cls(**json.loads(text))
 
 
 def peak_velocities_numeric(coin: Coin,
@@ -475,7 +467,7 @@ def peak_velocities_numeric(coin: Coin,
                      | (bottom <= bottom.min() + _TIE_MARGIN))
     slopes[ties] = _band_slopes(coin.matrix, ks[ties])
     if np.max(np.abs(slopes)) < FLAT_BAND_TOL:
-        return PeakVelocityResult(0.0, 0.0, None, VelocityMethod.NUMERIC)
+        return PeakVelocityResult(0.0, 0.0, None)
     sign = np.array([1.0, -1.0])[:, None, None]
     centers = ks[[np.argmax(slopes.max(axis=1)), np.argmin(slopes.min(axis=1))]]
     k, v = _zoom(
@@ -484,8 +476,7 @@ def peak_velocities_numeric(coin: Coin,
     )
     k0 = float(k[0]) % _TWO_PI
     k0 = min(k0, _TWO_PI - k0) if n_samples >= 256 else None
-    return PeakVelocityResult(-float(v[1]), float(v[0]), k0,
-                              VelocityMethod.NUMERIC)
+    return PeakVelocityResult(-float(v[1]), float(v[0]), k0)
 
 
 def peak_velocity_c1(phi: float) -> float:

@@ -3,16 +3,16 @@
 One step applies the coin to the amplitude triple at every site and then
 shifts: the L component moves one site left, S stays, R moves one site
 right.  After t steps the walker occupies at most the window [-t, t], and a
-``WalkState`` stores exactly that window.  A walk runs in one preallocated
-buffer, wide enough for its last step, that is stepped in place over a
-window of sites (see ``_walk``).  No renormalization is ever applied; norm
-drift is a monitored invariant, not something to hide.
+``WalkState`` stores exactly that window.  A walk is stepped in place in one
+component-major buffer wide enough for its last step (see ``_walk``).  No
+renormalization is ever applied; norm drift is a monitored invariant.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +32,17 @@ __all__ = [
 NORM_TOL = 1e-12
 
 
+def _count(value, what: str) -> int:
+    """``value`` as an ``int``; anything but a non-negative integer is refused."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class WalkState:
     """Walker state after ``time`` steps.
@@ -44,14 +55,11 @@ class WalkState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("time must be non-negative")
+        object.__setattr__(self, "time", _count(self.time, "time"))
         amps = _freeze(self, "amplitudes", np.complex128)
         if amps.shape != (2 * self.time + 1, 3):
-            raise ValueError(
-                f"state at t={self.time} needs shape {(2 * self.time + 1, 3)}, "
-                f"got {amps.shape}"
-            )
+            raise ValueError(f"state at t={self.time} needs shape "
+                             f"{(2 * self.time + 1, 3)}, got {amps.shape}")
 
     @property
     def origin_offset(self) -> int:
@@ -121,26 +129,29 @@ def initial_state(psi_c) -> WalkState:
 def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):
     """Step one buffer in place; yield it first and after each step.
 
-    Row ``half + m`` of the zeroed ``(2 * half + 1, 3)`` buffer holds lattice
-    site m, and it starts with ``amplitudes``, a window centred on the origin.
-    For each radius r the sites |m| <= r get the coin, as one row-major
-    matmul on that window, and then the shift, which writes sites
-    |m| <= r + 1; ``half`` must exceed every radius.  A radius below the
-    support leaves the sites beyond it stale.
+    Row j of the zeroed ``(3, 2 * half + 1)`` buffer holds component j (L, S,
+    R) at site ``column - half``; it starts with ``amplitudes``, a window
+    centred on the origin.  For each radius r, sites |m| <= r get the coin as
+    one matmul of the window's column-major view into a C-ordered product
+    buffer, then the shift: three contiguous row writes over |m| <= r + 1.
+    ``half`` must exceed every radius; a radius below the support leaves the
+    sites beyond it stale.  BLAS packs the window operand, so its memory
+    order changes no bit; the C-ordered product and the operand roles of
+    ``window @ coin.matrix.T`` fix them (an F-ordered ``out`` would not).
     """
-    buf = np.zeros((2 * half + 1, 3), dtype=np.complex128)
+    buf = np.zeros((3, 2 * half + 1), dtype=np.complex128)
     t = len(amplitudes) // 2
-    buf[half - t:half + t + 1] = amplitudes
+    buf[:, half - t:half + t + 1] = amplitudes.T
+    product = np.empty((2 * half + 1, 3), dtype=np.complex128)
     yield buf
     coin_t = coin.matrix.T
     for r in radii:
         lo, hi = half - r, half + r + 1
-        window = buf[lo:hi]
-        window[:] = window @ coin_t            # row i becomes C @ psi(site i)
-        buf[lo - 1:hi - 1, 0] = buf[lo:hi, 0]  # L moves to m - 1
-        buf[hi - 1, 0] = 0
-        buf[lo + 1:hi + 1, 2] = buf[lo:hi, 2]  # R moves to m + 1
-        buf[lo, 2] = 0
+        prod = np.matmul(buf[:, lo:hi].T, coin_t, out=product[:hi - lo])
+        buf[0, lo - 1:hi - 1] = prod[:, 0]  # L moves to m - 1
+        buf[1, lo:hi] = prod[:, 1]          # S stays
+        buf[2, lo + 1:hi + 1] = prod[:, 2]  # R moves to m + 1
+        buf[0, hi - 1] = buf[2, lo] = 0
         yield buf
 
 
@@ -152,15 +163,13 @@ def step(state: WalkState, coin: Coin) -> WalkState:
 def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:
     """Apply ``steps`` walk steps.
 
-    The walk runs in one zeroed ``(2T + 1, 3)`` buffer, T = ``state.time +
+    The walk runs in one zeroed ``(3, 2T + 1)`` buffer, T = ``state.time +
     steps``, stepped in place over the support window [-t, t] at each time
-    t; the result holds a read-only copy of it.
+    t; the result holds a read-only C-ordered copy of its transpose.
     """
-    if steps < 0:
-        raise ValueError("step count must be non-negative")
-    end = state.time + steps
+    end = state.time + _count(steps, "step count")
     *_, buf = _walk(state.amplitudes, coin, range(state.time, end), end)
-    return WalkState(end, buf)
+    return WalkState(end, buf.T)
 
 
 def probability_distribution(state: WalkState) -> ProbabilityDistribution:

@@ -20,7 +20,6 @@ from triwalk.localization import LocalizationReport
 from triwalk.spectral import (
     DispersionTable,
     PeakVelocityResult,
-    VelocityMethod,
     peak_velocities_numeric,
 )
 from triwalk.walk import ProbabilityDistribution
@@ -219,7 +218,7 @@ class TestVelocity:
         result = PeakVelocityResult.from_json(out.read_text())
         assert abs(result.v_right - 0.57735) < 1e-4
         assert abs(result.v_right - 1 / math.sqrt(3)) < 1e-6
-        assert result.method.value == "numeric"
+        assert result.method == "numeric"
 
     def test_csv_variant(self, tmp_path):
         out = tmp_path / "vel.csv"
@@ -516,7 +515,7 @@ class TestOutputBytes:
         (None, "", "null"),
     ])
     def test_velocity(self, tmp_path, monkeypatch, k0, csv_k0, json_k0):
-        result = PeakVelocityResult(-0.25, 0.1, k0, VelocityMethod.NUMERIC)
+        result = PeakVelocityResult(-0.25, 0.1, k0, "numeric")
         monkeypatch.setattr(cli, "peak_velocities_numeric",
                             lambda coin, grid: result)
         for fmt in ("csv", "json"):
@@ -550,7 +549,7 @@ class TestOutputBytes:
 
     def test_sweep(self, tmp_path, monkeypatch):
         # c2 at rho = 0 and 1: the analytic velocity is rho, the deviation 0.
-        result = PeakVelocityResult(-0.1, 0.1, None, VelocityMethod.NUMERIC)
+        result = PeakVelocityResult(-0.1, 0.1, None, "numeric")
         monkeypatch.setattr(cli, "peak_velocities_numeric",
                             lambda coin, grid: result)
         for fmt in ("csv", "json"):

@@ -52,6 +52,16 @@ class TestOriginSeries:
         with pytest.raises(ValueError):
             origin_series(grover_coin(), PSI_SYM, 0)
 
+    @pytest.mark.parametrize("t_max", [200.0, np.float64(2.5), "200"])
+    def test_non_integer_run_rejected(self, t_max):
+        with pytest.raises(ValueError, match="^t_max must be a non-negative "
+                                             "integer, got "):
+            origin_series(grover_coin(), PSI_SYM, t_max)
+
+    def test_numpy_integer_run(self):
+        assert np.array_equal(origin_series(grover_coin(), PSI_SYM, np.int64(40)),
+                              origin_series(grover_coin(), PSI_SYM, 40))
+
 
 class TestTrappingEstimate:
     def test_constant_series(self):

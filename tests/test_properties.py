@@ -21,6 +21,7 @@ from triwalk.coins import (
     grover_eigensystem,
     permutation_coin,
 )
+from triwalk.localization import origin_series
 from triwalk.spectral import _band_slopes, _cubic_slopes, peak_velocities_numeric
 from triwalk.walk import evolve, initial_state, probability_distribution, step
 
@@ -141,6 +142,21 @@ def test_evolution_preserves_norm_and_support(coin_seed, state_seed, t):
     dist = probability_distribution(state)
     assert abs(dist.total() - 1.0) < 1e-12
     assert np.min(dist.probabilities) >= 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, seeds, st.integers(min_value=0, max_value=300))
+def test_walk_kernel_matches_allocating_steps(coin_seed, state_seed, t):
+    # test_walk imports this module, so its helpers are imported here.
+    from test_walk import allocating_evolve, allocating_origin_series
+    coin = Coin(haar_unitary(coin_seed))
+    psi = random_state(state_seed)
+    state = initial_state(psi)
+    assert np.array_equal(evolve(state, coin, t).amplitudes,
+                          allocating_evolve(state, coin, t).amplitudes)
+    if t >= 1:
+        assert np.array_equal(origin_series(coin, psi, t),
+                              allocating_origin_series(coin, psi, t))
 
 
 @settings(max_examples=20, deadline=None)

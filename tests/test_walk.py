@@ -155,6 +155,15 @@ def allocating_evolve(state, coin, steps):
     return state
 
 
+def allocating_origin_series(coin, psi, t_max):
+    state = initial_state(psi)
+    series = [float(np.sum(np.abs(state.amplitudes[0]) ** 2))]
+    for _ in range(t_max):
+        state = allocating_step(state, coin)
+        series.append(float(np.sum(np.abs(state.site_amplitudes(0)) ** 2)))
+    return series
+
+
 class TestInPlaceBuffer:
     # Stepping one buffer in place, over the support window or only the
     # backward light cone, must give bit for bit the amplitudes and origin
@@ -191,12 +200,25 @@ class TestInPlaceBuffer:
     @pytest.mark.parametrize("t_max", [1, 2, 3, 4, 199, 200, 401])
     @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
     def test_origin_series_light_cone(self, coin, t_max):
-        state = initial_state(PSI_SYM)
-        expected = [float(np.sum(np.abs(state.amplitudes[0]) ** 2))]
-        for _ in range(t_max):
-            state = allocating_step(state, coin)
-            expected.append(float(np.sum(np.abs(state.site_amplitudes(0)) ** 2)))
-        assert np.array_equal(origin_series(coin, PSI_SYM, t_max), expected)
+        assert np.array_equal(origin_series(coin, PSI_SYM, t_max),
+                              allocating_origin_series(coin, PSI_SYM, t_max))
+
+    # Windows of 3001 and 1003 sites, past the sizes above and the panel
+    # sizes BLAS packs its operands into.
+    @pytest.mark.parametrize("coin", [grover_coin(), Coin(haar_unitary(1))],
+                             ids=["grover", "haar1"])
+    def test_evolve_large_window(self, coin):
+        state = initial_state(random_state(5))
+        got = evolve(state, coin, 1500)
+        assert got.amplitudes.flags.c_contiguous
+        assert np.array_equal(got.amplitudes,
+                              allocating_evolve(state, coin, 1500).amplitudes)
+
+    @pytest.mark.parametrize("coin", [coin_c2(1.0), Coin(haar_unitary(2))],
+                             ids=["c2:1", "haar2"])
+    def test_origin_series_large_window(self, coin):
+        assert np.array_equal(origin_series(coin, PSI_SYM, 1001),
+                              allocating_origin_series(coin, PSI_SYM, 1001))
 
     def test_step_is_one_evolve_step(self):
         state = evolve(initial_state(PSI_SYM), coin_c1(0.6), 4)
@@ -210,6 +232,47 @@ class TestInPlaceBuffer:
         assert np.array_equal(state.amplitudes, before)
         assert not later.amplitudes.flags.writeable
         assert not np.shares_memory(later.amplitudes, state.amplitudes)
+
+    def test_states_are_c_ordered(self):
+        # probability_distribution sums along rows; its bits must not
+        # depend on the layout of the array a state was built from.
+        amps = np.asfortranarray(evolve(initial_state(PSI_SYM),
+                                        grover_coin(), 4).amplitudes)
+        state = WalkState(4, amps)
+        assert state.amplitudes.flags.c_contiguous
+        assert np.array_equal(state.amplitudes, amps)
+        assert evolve(state, grover_coin(), 3).amplitudes.flags.c_contiguous
+
+
+class TestIntegerTimes:
+    @pytest.mark.parametrize("time", [1.0, 1.5, "1", None])
+    def test_state_time_must_be_an_integer(self, time):
+        with pytest.raises(ValueError, match="^time must be a non-negative "
+                                             "integer, got "):
+            WalkState(time, np.zeros((3, 3)))
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="^time must be a non-negative"):
+            WalkState(-1, np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("time", [np.int64(1), np.int32(1)])
+    def test_integer_like_time_stored_as_int(self, time):
+        state = WalkState(time, np.zeros((3, 3)))
+        assert type(state.time) is int
+        assert state.time == 1
+
+    @pytest.mark.parametrize("steps", [2.0, np.float64(2.0), "2"])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match="^step count must be a "
+                                             "non-negative integer, got "):
+            evolve(initial_state(PSI_SYM), grover_coin(), steps)
+
+    def test_numpy_integer_steps(self):
+        state = initial_state(PSI_SYM)
+        got = evolve(state, grover_coin(), np.int64(3))
+        assert type(got.time) is int
+        assert np.array_equal(got.amplitudes,
+                              evolve(state, grover_coin(), 3).amplitudes)
 
 
 class TestProbabilityDistribution:
