@@ -214,10 +214,6 @@ class EigenSystem:
         v = self.eigenvectors
         return np.stack([np.outer(v[:, j], v[:, j].conj()) for j in range(3)])
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of lambda_j P_j; equals the decomposed matrix up to rounding."""
-        return (self.eigenvalues[:, None, None] * self.projectors).sum(axis=0)
-
 
 def grover_coin() -> Coin:
     """The 3x3 Grover coin: diagonal entries -1/3, off-diagonal 2/3."""

@@ -9,7 +9,6 @@ band itself is detected directly from the tracked dispersion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -111,14 +110,6 @@ class LocalizationReport:
     def to_json(self) -> str:
         return _to_json(asdict(self))
 
-    @classmethod
-    def from_json(cls, text: str) -> "LocalizationReport":
-        data = json.loads(text)
-        lam = data["flat_band_eigenvalue"]
-        return cls(**{**data, "cesaro_windows": tuple(data["cesaro_windows"]),
-                      "flat_band_eigenvalue": None if lam is None
-                      else complex(*lam)})
-
     def series_to_csv(self, path) -> None:
         _write_text(path, _csv_text("t,p0", range(self.series.size),
                                     self.series))
@@ -143,6 +134,7 @@ def localization_report(
         raise ValueError(f"t_max must be at least {_MIN_SERIES - 1}: the "
                          "trapping estimate needs a series of at least "
                          f"{_MIN_SERIES} points")
+    _count(t_max, "t_max")
     flat, eigenvalue = flat_band_detect(coin, n_samples)
     series = origin_series(coin, psi_c, t_max)
     est = trapping_estimate(series)

@@ -29,23 +29,20 @@ where the check fails, so the branches are those of the rule bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .coins import (Coin, CoinFamily, InvariantViolation, _csv_text, _freeze,
-                    _to_json, _unitary_eig, _write_text)
+from .coins import (Coin, InvariantViolation, _csv_text, _freeze, _to_json,
+                    _unitary_eig, _write_text)
 
 __all__ = [
     "BranchTrackingError",
     "DispersionTable",
     "PeakVelocityResult",
-    "momentum_propagator",
     "dispersion_numeric",
-    "dispersion_analytic",
     "group_velocity",
     "peak_velocities_numeric",
     "peak_velocity_c1",
@@ -85,14 +82,8 @@ class BranchTrackingError(Exception):
         self.k = k
 
 
-def momentum_propagator(coin: Coin, k: float) -> np.ndarray:
-    """The 3x3 unitary diag(exp(-ik), 1, exp(ik)) . C for one Fourier mode."""
-    if not math.isfinite(k):
-        raise ValueError("momentum k must be finite")
-    return _propagator_batch(coin.matrix, np.array([k]))[0]
-
-
 def _propagator_batch(matrix: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """U(k) = diag(exp(-ik), 1, exp(ik)) . C at every k, shape (ks.size, 3, 3)."""
     phase = np.empty((ks.size, 3), dtype=np.complex128)
     phase[:, 0] = np.exp(-1j * ks)
     phase[:, 1] = 1.0
@@ -120,6 +111,8 @@ class DispersionTable:
         br = _freeze(self, "branches", float)
         if ks.ndim != 1 or br.shape != (3, ks.size):
             raise ValueError("need a 1-d k grid and (3, n) branch array")
+        if self.eigenvectors is not None:
+            _freeze(self, "eigenvectors", np.complex128)
 
     @property
     def spacing(self) -> float:
@@ -150,12 +143,6 @@ class DispersionTable:
     def to_json(self) -> str:
         return _to_json({"k": self.k_grid, "omega": self.branches,
                          "coin": self.coin})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DispersionTable":
-        data = json.loads(text)
-        coin = Coin.from_json(json.dumps(data["coin"]))
-        return cls(np.array(data["k"]), np.array(data["omega"]), coin)
 
 
 def dispersion_numeric(
@@ -292,33 +279,6 @@ def _eigenvector_pass(matrix: np.ndarray, ks: np.ndarray,
     return np.take_along_axis(vec, perm[:, None, :], axis=2)
 
 
-def dispersion_analytic(family: CoinFamily, parameter: float | None, k):
-    """Closed-form dispersion (omega1, omega2, omega3) for the named families.
-
-    omega1 carries the +arccos sheet, omega2 the -arccos sheet, and the flat
-    band omega3 is identically zero.  ``k`` may be a scalar or an array.
-    """
-    k = np.asarray(k, dtype=float)
-    if family is CoinFamily.GROVER:
-        arg = -(2.0 + np.cos(k)) / 3.0
-        acos = np.arccos(np.clip(arg, -1.0, 1.0))
-        return acos, -acos, np.zeros_like(k)
-    if family is CoinFamily.C1:
-        phi = float(parameter)
-        arg = -(2.0 + np.cos(k)) * math.cos(phi) / 3.0
-        acos = np.arccos(np.clip(arg, -1.0, 1.0))
-        return phi + acos, phi - acos, np.zeros_like(k)
-    if family is CoinFamily.C2:
-        rho = float(parameter)
-        arg = rho * rho - 1.0 - rho * rho * np.cos(k)
-        acos = np.arccos(np.clip(arg, -1.0, 1.0))
-        return acos, -acos, np.zeros_like(k)
-    raise ValueError(
-        f"no closed-form dispersion for family {family.value!r}; "
-        "use dispersion_numeric"
-    )
-
-
 def group_velocity(table: DispersionTable, branch: int) -> np.ndarray:
     """d omega/dk per sample via central differences with periodic seam."""
     h = table.spacing
@@ -427,10 +387,6 @@ class PeakVelocityResult:
 
     def to_json(self) -> str:
         return _to_json(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PeakVelocityResult":
-        return cls(**json.loads(text))
 
 
 def peak_velocities_numeric(coin: Coin,

@@ -10,7 +10,6 @@ renormalization is ever applied; norm drift is a monitored invariant.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -61,11 +60,6 @@ class WalkState:
             raise ValueError(f"state at t={self.time} needs shape "
                              f"{(2 * self.time + 1, 3)}, got {amps.shape}")
 
-    @property
-    def origin_offset(self) -> int:
-        """Lattice index of the first stored site."""
-        return -self.time
-
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
@@ -99,20 +93,12 @@ class ProbabilityDistribution:
     def sites(self) -> np.ndarray:
         return np.arange(self.m_min, self.m_max + 1)
 
-    def total(self) -> float:
-        return float(self.probabilities.sum())
-
     def to_csv(self, path) -> None:
         _write_text(path, _csv_text("m,p", self.sites, self.probabilities))
 
     def to_json(self) -> str:
         return _to_json({"time": self.time, "m_min": self.m_min,
                          "m_max": self.m_max, "p": self.probabilities})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProbabilityDistribution":
-        data = json.loads(text)
-        return cls(int(data["time"]), int(data["m_min"]), np.array(data["p"]))
 
 
 def initial_state(psi_c) -> WalkState:

@@ -5,7 +5,42 @@ the point is that these computations can disagree with the implementation
 under test.
 """
 
+import math
+
 import numpy as np
+
+
+def propagators(matrix: np.ndarray, ks) -> np.ndarray:
+    """U(k) = diag(exp(-ik), 1, exp(ik)) . C for every k, shape (n, 3, 3)."""
+    ks = np.asarray(ks, dtype=float)
+    phase = np.stack([np.exp(-1j * ks), np.ones_like(ks), np.exp(1j * ks)],
+                     axis=1)
+    return phase[:, :, None] * matrix[None, :, :]
+
+
+def dispersion_analytic(family: str, parameter: float | None, k):
+    """Closed-form dispersion (omega1, omega2, omega3) of a named family.
+
+    ``family`` is "grover", "c1" (parameter phi) or "c2" (parameter rho).
+    omega1 carries the +arccos sheet, omega2 the -arccos sheet, and the flat
+    band omega3 is identically zero.  ``k`` may be a scalar or an array.
+    """
+    k = np.asarray(k, dtype=float)
+    if family == "grover":
+        arg = -(2.0 + np.cos(k)) / 3.0
+        acos = np.arccos(np.clip(arg, -1.0, 1.0))
+        return acos, -acos, np.zeros_like(k)
+    if family == "c1":
+        phi = float(parameter)
+        arg = -(2.0 + np.cos(k)) * math.cos(phi) / 3.0
+        acos = np.arccos(np.clip(arg, -1.0, 1.0))
+        return phi + acos, phi - acos, np.zeros_like(k)
+    if family == "c2":
+        rho = float(parameter)
+        arg = rho * rho - 1.0 - rho * rho * np.cos(k)
+        acos = np.arccos(np.clip(arg, -1.0, 1.0))
+        return acos, -acos, np.zeros_like(k)
+    raise ValueError(f"no closed-form dispersion for family {family!r}")
 
 
 def dense_evolve(coin_matrix: np.ndarray, psi_c: np.ndarray, t: int,
@@ -42,8 +77,7 @@ def fourier_evolve_distribution(coin_matrix: np.ndarray, psi_c: np.ndarray,
     """
     ks = 2.0 * np.pi * np.arange(n_modes) / n_modes
     modes = np.empty((n_modes, 3), dtype=complex)
-    for i, k in enumerate(ks):
-        u = np.diag([np.exp(-1j * k), 1.0, np.exp(1j * k)]) @ coin_matrix
+    for i, u in enumerate(propagators(coin_matrix, ks)):
         modes[i] = np.linalg.matrix_power(u, t) @ psi_c
     out: dict[int, float] = {}
     for m in range(-t, t + 1):
@@ -62,10 +96,7 @@ def flat_band_trapped_probability(coin_matrix: np.ndarray, psi_c: np.ndarray,
     flat-band eigenvalue is 1 and isolated (the deformation families).
     """
     ks = 2.0 * np.pi * (np.arange(n_modes) + 0.5) / n_modes
-    phase = np.stack([np.exp(-1j * ks), np.ones_like(ks), np.exp(1j * ks)],
-                     axis=1)
-    u = phase[:, :, None] * coin_matrix[None, :, :]
-    a = u - np.eye(3)
+    a = propagators(coin_matrix, ks) - np.eye(3)
     # Null vector of the rank-2 matrix via the bilinear cross product of rows.
     v = np.cross(a[:, 0, :], a[:, 1, :])
     small = np.linalg.norm(v, axis=1) < 1e-12
@@ -88,9 +119,7 @@ def hf_velocity_range(coin_matrix: np.ndarray,
     """
     lo, hi = np.inf, -np.inf
     for ks in np.array_split(2.0 * np.pi * np.arange(n_modes) / n_modes, 16):
-        phase = np.stack([np.exp(-1j * ks), np.ones_like(ks), np.exp(1j * ks)],
-                         axis=1)
-        _, vecs = np.linalg.eig(phase[:, :, None] * coin_matrix[None, :, :])
+        _, vecs = np.linalg.eig(propagators(coin_matrix, ks))
         weight = np.abs(vecs) ** 2
         weight /= weight.sum(axis=1, keepdims=True)
         slope = weight[:, 2, :] - weight[:, 0, :]

@@ -160,9 +160,10 @@ class TestSimulate:
                      "--state", "1,0,0,0,1,0", "--format", "json",
                      "--out", str(out)])
         assert code == 0
-        dist = ProbabilityDistribution.from_json(out.read_text())
+        data = json.loads(out.read_text())
+        dist = ProbabilityDistribution(data["time"], data["m_min"], data["p"])
         assert dist.time == 50
-        assert abs(dist.total() - 1.0) < 1e-12
+        assert abs(dist.probabilities.sum() - 1.0) < 1e-12
         sites = dist.sites
         right = sites[sites > 0][np.argmax(dist.probabilities[sites > 0])]
         assert abs(right - 45) <= 1
@@ -215,7 +216,7 @@ class TestVelocity:
     def test_grover_json(self, tmp_path):
         out = tmp_path / "vel.json"
         assert main(["velocity", "--coin", "grover", "--out", str(out)]) == 0
-        result = PeakVelocityResult.from_json(out.read_text())
+        result = PeakVelocityResult(**json.loads(out.read_text()))
         assert abs(result.v_right - 0.57735) < 1e-4
         assert abs(result.v_right - 1 / math.sqrt(3)) < 1e-6
         assert result.method == "numeric"
@@ -236,7 +237,7 @@ class TestVelocity:
         out = tmp_path / "vel.json"
         assert main(["velocity", "--coin", f"matrix:{path}", "--grid", "1024",
                      "--out", str(out)]) == 0
-        result = PeakVelocityResult.from_json(out.read_text())
+        result = PeakVelocityResult(**json.loads(out.read_text()))
         assert result.v_right <= 1.0 + 1e-9
 
 

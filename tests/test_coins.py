@@ -221,7 +221,8 @@ class TestEigensystemOf:
     @pytest.mark.parametrize("coin", all_family_coins())
     def test_reconstruction(self, coin):
         es = eigensystem_of(coin)
-        assert np.max(np.abs(es.reconstruct() - coin.matrix)) < 1e-10
+        rebuilt = coin_from_spectral(es, np.angle(es.eigenvalues)).matrix
+        assert np.max(np.abs(rebuilt - coin.matrix)) < 1e-10
         gram = es.eigenvectors.conj().T @ es.eigenvectors
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
         assert spectrum_distance(es.eigenvalues,
@@ -239,7 +240,8 @@ class TestEigensystemOf:
         near = coin_from_spectral(grover_eigensystem(), (0.3, 0.3 + 1e-9, 2.0))
         for matrix in (grover_coin().matrix, np.eye(3), near.matrix):
             es = eigensystem_of(Coin(matrix))
-            assert np.max(np.abs(es.reconstruct() - matrix)) < 1e-10
+            rebuilt = coin_from_spectral(es, np.angle(es.eigenvalues)).matrix
+            assert np.max(np.abs(rebuilt - matrix)) < 1e-10
             gram = es.eigenvectors.conj().T @ es.eigenvectors
             assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 

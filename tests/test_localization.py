@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import flat_band_trapped_probability
+import triwalk.localization as localization
+from oracles import dispersion_analytic, flat_band_trapped_probability
 from triwalk.coins import (
     coin_c1,
     coin_c2,
@@ -13,13 +15,11 @@ from triwalk.coins import (
     transmitting_coin,
 )
 from triwalk.localization import (
-    LocalizationReport,
     flat_band_detect,
     localization_report,
     origin_series,
     trapping_estimate,
 )
-from triwalk.spectral import dispersion_analytic
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
 
@@ -147,8 +147,8 @@ class TestFlatBandDetect:
     def test_agrees_with_closed_form_flat_branch(self):
         ks = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         for coin in (grover_coin(), coin_c1(0.5), coin_c2(0.8)):
-            family, param = coin.family, coin.parameter
-            _, _, w3 = dispersion_analytic(family, param, ks)
+            _, _, w3 = dispersion_analytic(coin.family.value, coin.parameter,
+                                           ks)
             assert np.max(np.abs(w3)) == 0.0
             assert flat_band_detect(coin)[0]
 
@@ -178,13 +178,28 @@ class TestLocalizationReport:
 
     def test_json_round_trip(self):
         report = localization_report(coin_c2(0.5), PSI_SYM, 300)
-        loaded = LocalizationReport.from_json(report.to_json())
-        assert np.array_equal(loaded.series, report.series)
-        assert loaded.cesaro_windows == report.cesaro_windows
-        assert loaded.trapping_estimate == report.trapping_estimate
-        assert loaded.converged == report.converged
-        assert loaded.flat_band == report.flat_band
-        assert loaded.flat_band_eigenvalue == report.flat_band_eigenvalue
+        data = json.loads(report.to_json())
+        assert np.array_equal(data["series"], report.series)
+        assert tuple(data["cesaro_windows"]) == report.cesaro_windows
+        assert data["trapping_estimate"] == report.trapping_estimate
+        assert data["converged"] == report.converged
+        assert data["flat_band"] == report.flat_band
+        assert complex(*data["flat_band_eigenvalue"]) == \
+            report.flat_band_eigenvalue
+
+    @pytest.mark.parametrize("t_max", [-5, 150.0])
+    def test_short_run_rejected(self, t_max):
+        with pytest.raises(ValueError, match="^t_max must be at least 199: "):
+            localization_report(grover_coin(), PSI_SYM, t_max)
+
+    def test_float_run_rejected_before_flat_band_scan(self, monkeypatch):
+        def scan(*args, **kwargs):
+            pytest.fail("flat band scanned before t_max was checked")
+
+        monkeypatch.setattr(localization, "flat_band_detect", scan)
+        with pytest.raises(ValueError, match="^t_max must be a non-negative "
+                                             "integer, got 300.0$"):
+            localization_report(grover_coin(), PSI_SYM, 300.0)
 
     def test_series_csv(self, tmp_path):
         report = localization_report(grover_coin(), PSI_SYM, 250)

@@ -45,6 +45,14 @@ def _dispersion_table():
                                                     "branches": br}
 
 
+def _dispersion_table_with_eigenvectors():
+    _, sources = _dispersion_table()
+    vec = np.tile(np.eye(3, dtype=np.complex128), (16, 1, 1))
+    return (DispersionTable(sources["k_grid"], sources["branches"],
+                            grover_coin(), vec),
+            {**sources, "eigenvectors": vec})
+
+
 def _walk_state():
     amps = np.zeros((3, 3), dtype=np.complex128)
     amps[1, 0] = 1.0
@@ -63,9 +71,11 @@ def _localization_report():
 
 
 @pytest.mark.parametrize("build", [
-    _coin, _eigensystem, _dispersion_table, _walk_state, _distribution,
+    _coin, _eigensystem, _dispersion_table,
+    _dispersion_table_with_eigenvectors, _walk_state, _distribution,
     _localization_report,
-], ids=["Coin", "EigenSystem", "DispersionTable", "WalkState",
+], ids=["Coin", "EigenSystem", "DispersionTable",
+        "DispersionTable-eigenvectors", "WalkState",
         "ProbabilityDistribution", "LocalizationReport"])
 def test_records_store_read_only_copies(build):
     # A record freezes its own copy of each array field, never the caller's.

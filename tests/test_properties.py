@@ -1,13 +1,14 @@
 """Property-based checks over randomly generated coins and states."""
 
 import ast
+import itertools
 import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triwalk.coins import (
@@ -129,7 +130,8 @@ def test_eigensystem_reconstructs_custom_coins(seed):
     assert np.max(np.abs(np.abs(es.eigenvalues) - 1.0)) < 1e-12
     gram = es.eigenvectors.conj().T @ es.eigenvectors
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-    assert np.max(np.abs(es.reconstruct() - coin.matrix)) < 1e-10
+    rebuilt = coin_from_spectral(es, np.angle(es.eigenvalues)).matrix
+    assert np.max(np.abs(rebuilt - coin.matrix)) < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -140,7 +142,7 @@ def test_evolution_preserves_norm_and_support(coin_seed, state_seed, t):
     assert abs(state.norm_squared() - 1.0) < 1e-12
     assert state.amplitudes.shape == (2 * t + 1, 3)
     dist = probability_distribution(state)
-    assert abs(dist.total() - 1.0) < 1e-12
+    assert abs(dist.probabilities.sum() - 1.0) < 1e-12
     assert np.min(dist.probabilities) >= 0.0
 
 
@@ -163,15 +165,17 @@ def test_walk_kernel_matches_allocating_steps(coin_seed, state_seed, t):
 @given(st.floats(min_value=-math.pi, max_value=math.pi),
        st.floats(min_value=-math.pi, max_value=math.pi),
        st.floats(min_value=-math.pi, max_value=math.pi))
+@example(1.0, -1.0, 0.0)
 def test_spectral_construction_is_unitary(t1, t2, t3):
     coin = coin_from_spectral(grover_eigensystem(), (t1, t2, t3))
     dev = np.max(np.abs(coin.matrix @ coin.matrix.conj().T - np.eye(3)))
     assert dev < 1e-12
     es = eigensystem_of(coin)
-    expected = np.sort(np.exp(1j * np.array([t1, t2, t3])))
-    got = np.sort(es.eigenvalues)
-    assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(expected))) \
-        < 1e-10
+    expected = np.exp(1j * np.array([t1, t2, t3]))
+    # Compared as sets under the best pairing: a sort orders a conjugate
+    # pair, whose real parts tie, by rounding (the example swaps it).
+    assert min(np.max(np.abs(es.eigenvalues[list(perm)] - expected))
+               for perm in itertools.permutations(range(3))) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
