@@ -26,6 +26,7 @@ import enum
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,6 +62,22 @@ def _freeze(record, name: str, dtype) -> np.ndarray:
     value.setflags(write=False)
     object.__setattr__(record, name, value)
     return value
+
+
+def _count(value, what: str) -> int:
+    """``value`` as an ``int``; anything but a non-negative integer is refused."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return count
+
+
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number: no string, and no bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class InvariantViolation(Exception):
@@ -130,12 +147,11 @@ class Coin:
         try:
             family, param = CoinFamily(data["family"]), data["parameter"]
             entries = data["matrix"]
-            if len(entries) != 9 or any(len(z) != 2 for z in entries):
+            if len(entries) != 9 or any(
+                    len(z) != 2 or not all(map(_is_number, z)) for z in entries):
                 raise TypeError("matrix needs 9 [re, im] entries")
             m = np.array([complex(re, im) for re, im in entries])
-            # A JSON number only: no string, and no bool (an int in Python).
-            if param is not None and (isinstance(param, bool)
-                                      or not isinstance(param, (int, float))):
+            if param is not None and not _is_number(param):
                 raise TypeError("parameter must be a number or null")
             args = () if param is None else (float(param),)
             coin = cls(m.reshape(3, 3), family, *args)

@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coins import Coin, _csv_text, _freeze, _to_json, _write_text
-from .spectral import dispersion_numeric
-from .walk import _count, _walk, initial_state
+from .coins import Coin, _count, _csv_text, _freeze, _to_json, _write_text
+from .spectral import FLAT_BAND_TOL, dispersion_numeric
+from .walk import _walk, initial_state
 
 __all__ = [
     "TrappingEstimate",
@@ -84,12 +84,11 @@ def flat_band_detect(coin: Coin,
     exp(i mean phase) when a branch varies by less than ``FLAT_BAND_TOL``
     across the grid, else (False, None).
     """
-    if n_samples < 256:
+    if _count(n_samples, "flat band grid") < 256:
         raise ValueError("flat band detection needs at least 256 samples")
-    table = dispersion_numeric(coin, n_samples)
-    for j in range(3):
-        if table.is_flat(j):
-            return True, complex(np.exp(1j * table.branches[j].mean()))
+    for omega in dispersion_numeric(coin, n_samples).branches:
+        if np.max(np.abs(omega - omega.mean())) < FLAT_BAND_TOL:
+            return True, complex(np.exp(1j * omega.mean()))
     return False, None
 
 

@@ -35,8 +35,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .coins import (Coin, InvariantViolation, _csv_text, _freeze, _to_json,
-                    _unitary_eig, _write_text)
+from .coins import (Coin, InvariantViolation, _count, _csv_text, _freeze,
+                    _to_json, _unitary_eig, _write_text)
 
 __all__ = [
     "BranchTrackingError",
@@ -82,6 +82,14 @@ class BranchTrackingError(Exception):
         self.k = k
 
 
+def _grid(n_samples, what: str) -> np.ndarray:
+    """The closed grid 2 pi j / n, j < n, for an integer n >= 16 (``what``)."""
+    n = _count(n_samples, what)
+    if n < 16:
+        raise ValueError(f"{what} needs at least 16 samples")
+    return np.arange(n) * (_TWO_PI / n)
+
+
 def _propagator_batch(matrix: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """U(k) = diag(exp(-ik), 1, exp(ik)) . C at every k, shape (ks.size, 3, 3)."""
     phase = np.empty((ks.size, 3), dtype=np.complex128)
@@ -93,52 +101,36 @@ def _propagator_batch(matrix: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DispersionTable:
-    """Tracked eigenphase branches omega_j(k) over a uniform momentum grid.
+    """Tracked eigenphase branches omega_j(k) on the grid k_n = 2 pi n / N.
 
-    ``branches[j]`` is a continuous (unwrapped) phase sequence;
-    ``exp(i branches[:, n])`` reproduces the eigenvalue set of U(k_n).
+    ``branches[j]`` is a continuous (unwrapped) phase sequence over the N
+    samples; ``exp(i branches[:, n])`` is the eigenvalue set of U(k_n).
     ``eigenvectors[n, :, j]``, when present, is the unit eigenvector of
     branch j at sample n.  The source coin is kept for the JSON record.
     """
 
-    k_grid: np.ndarray
     branches: np.ndarray
     coin: Coin
     eigenvectors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        ks = _freeze(self, "k_grid", float)
         br = _freeze(self, "branches", float)
-        if ks.ndim != 1 or br.shape != (3, ks.size):
-            raise ValueError("need a 1-d k grid and (3, n) branch array")
+        if br.ndim != 2 or len(br) != 3 or br.size == 0:
+            raise ValueError(f"need a (3, n) branch array, got {br.shape}")
         if self.eigenvectors is not None:
-            _freeze(self, "eigenvectors", np.complex128)
+            vec = _freeze(self, "eigenvectors", np.complex128)
+            if vec.shape != (br.shape[1], 3, 3):
+                raise ValueError(f"eigenvectors {vec.shape} are not (n, 3, 3)")
 
     @property
-    def spacing(self) -> float:
-        return float(self.k_grid[1] - self.k_grid[0])
-
-    def branch_steps(self, branch: int) -> np.ndarray:
-        """Consecutive phase increments, with the seam step wrapped.
-
-        The branch value is 2pi-periodic only up to winding, so the step
-        from the last sample back to k=0 is reduced to its principal value.
-        """
-        omega = self.branches[branch]
-        steps = np.empty_like(omega)
-        steps[:-1] = np.diff(omega)
-        seam = omega[0] - omega[-1]
-        steps[-1] = seam - _TWO_PI * np.round(seam / _TWO_PI)
-        return steps
-
-    def is_flat(self, branch: int) -> bool:
-        omega = self.branches[branch]
-        return bool(np.max(np.abs(omega - omega.mean())) < FLAT_BAND_TOL)
+    def k_grid(self) -> np.ndarray:
+        n = self.branches.shape[1]
+        return np.arange(n) * (_TWO_PI / n)
 
     def to_csv(self, path) -> None:
-        vs = [group_velocity(self, j) for j in range(3)]
         _write_text(path, _csv_text("k,omega1,omega2,omega3,v1,v2,v3",
-                                    self.k_grid, *self.branches, *vs))
+                                    self.k_grid, *self.branches,
+                                    *group_velocity(self)))
 
     def to_json(self) -> str:
         return _to_json({"k": self.k_grid, "omega": self.branches,
@@ -162,9 +154,7 @@ def dispersion_numeric(
     variance is moved to index 2, so a flat band always sits there; the
     other two are ordered by descending mean phase.
     """
-    if n_samples < 16:
-        raise ValueError("dispersion grid needs at least 16 samples")
-    ks = np.arange(n_samples) * (_TWO_PI / n_samples)
+    ks = _grid(n_samples, "dispersion grid")
     raw = np.angle(np.linalg.eigvals(_propagator_batch(coin.matrix, ks)))
     branches = _track(raw, ks)
 
@@ -178,7 +168,7 @@ def dispersion_numeric(
     vectors = None
     if include_eigenvectors:
         vectors = _eigenvector_pass(coin.matrix, ks, branches)
-    return DispersionTable(ks, branches, coin, vectors)
+    return DispersionTable(branches, coin, vectors)
 
 
 def _continue_branches(raw: np.ndarray, prev: np.ndarray, prev2: np.ndarray):
@@ -279,13 +269,17 @@ def _eigenvector_pass(matrix: np.ndarray, ks: np.ndarray,
     return np.take_along_axis(vec, perm[:, None, :], axis=2)
 
 
-def group_velocity(table: DispersionTable, branch: int) -> np.ndarray:
-    """d omega/dk per sample via central differences with periodic seam."""
-    h = table.spacing
-    if np.max(np.abs(np.diff(table.k_grid) - h)) > 1e-9 * h:
-        raise ValueError("group velocity requires a uniform momentum grid")
-    steps = table.branch_steps(branch)
-    return (steps + np.roll(steps, 1)) / (2.0 * h)
+def group_velocity(table: DispersionTable) -> np.ndarray:
+    """d omega/dk of every branch, shape (3, n), by central differences.
+
+    A branch is 2pi-periodic only up to winding, so the step from the last
+    sample back to k = 0 is reduced to its principal value.
+    """
+    omega = table.branches
+    steps = np.diff(omega, append=omega[:, :1])
+    steps[:, -1] -= _TWO_PI * np.round(steps[:, -1] / _TWO_PI)
+    h = _TWO_PI / omega.shape[1]
+    return (steps + np.roll(steps, 1, axis=1)) / (2.0 * h)
 
 
 def _band_slopes(matrix: np.ndarray, ks: np.ndarray):
@@ -414,9 +408,7 @@ def peak_velocities_numeric(coin: Coin,
     to about 1e-7 rad, although it is printed with 17 digits, because the
     slope is flat to second order at its maximum (see ``_zoom``).
     """
-    if n_samples < 16:
-        raise ValueError("velocity grid needs at least 16 samples")
-    ks = np.arange(n_samples) * (_TWO_PI / n_samples)
+    ks = _grid(n_samples, "velocity grid")
     slopes, exact = _cubic_slopes(coin.matrix, ks)
     top, bottom = slopes.max(axis=1), slopes.min(axis=1)
     ties = ~exact & ((top >= top.max() - _TIE_MARGIN)
@@ -428,10 +420,10 @@ def peak_velocities_numeric(coin: Coin,
     centers = ks[[np.argmax(slopes.max(axis=1)), np.argmin(slopes.min(axis=1))]]
     k, v = _zoom(
         lambda kk: (sign * _band_slopes(coin.matrix, kk)).max(axis=-1),
-        centers, _TWO_PI / n_samples,
+        centers, _TWO_PI / ks.size,
     )
     k0 = float(k[0]) % _TWO_PI
-    k0 = min(k0, _TWO_PI - k0) if n_samples >= 256 else None
+    k0 = min(k0, _TWO_PI - k0) if ks.size >= 256 else None
     return PeakVelocityResult(-float(v[1]), float(v[0]), k0)
 
 

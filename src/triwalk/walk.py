@@ -11,12 +11,11 @@ renormalization is ever applied; norm drift is a monitored invariant.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin, _csv_text, _freeze, _to_json, _write_text
+from .coins import Coin, _count, _csv_text, _freeze, _to_json, _write_text
 
 __all__ = [
     "WalkState",
@@ -29,17 +28,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
-
-
-def _count(value, what: str) -> int:
-    """``value`` as an ``int``; anything but a non-negative integer is refused."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = -1
-    if count < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -72,33 +60,30 @@ class WalkState:
 
 @dataclass(frozen=True)
 class ProbabilityDistribution:
-    """Position distribution p(m) at a fixed time."""
+    """Position distribution: ``probabilities[i]`` is p(i - time, time)."""
 
     time: int
-    m_min: int
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "time", _count(self.time, "time"))
         p = _freeze(self, "probabilities", float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probabilities must be a non-empty 1-d sequence")
-        if np.min(p) < -NORM_TOL:
+        if p.shape != (2 * self.time + 1,):
+            raise ValueError(f"distribution at t={self.time} needs shape "
+                             f"{(2 * self.time + 1,)}, got {p.shape}")
+        if not np.min(p) >= -NORM_TOL:  # also rejects NaN
             raise ValueError("probabilities must be non-negative")
 
     @property
-    def m_max(self) -> int:
-        return self.m_min + len(self.probabilities) - 1
-
-    @property
     def sites(self) -> np.ndarray:
-        return np.arange(self.m_min, self.m_max + 1)
+        return np.arange(-self.time, self.time + 1)
 
     def to_csv(self, path) -> None:
         _write_text(path, _csv_text("m,p", self.sites, self.probabilities))
 
     def to_json(self) -> str:
-        return _to_json({"time": self.time, "m_min": self.m_min,
-                         "m_max": self.m_max, "p": self.probabilities})
+        return _to_json({"time": self.time, "m_min": -self.time,
+                         "m_max": self.time, "p": self.probabilities})
 
 
 def initial_state(psi_c) -> WalkState:
@@ -161,7 +146,7 @@ def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:
 def probability_distribution(state: WalkState) -> ProbabilityDistribution:
     """Trace out the coin: p(m) = |psi_L|^2 + |psi_S|^2 + |psi_R|^2."""
     p = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    return ProbabilityDistribution(state.time, -state.time, p)
+    return ProbabilityDistribution(state.time, p)
 
 
 def peak_positions(dist: ProbabilityDistribution) -> tuple[int | None, int | None]:

@@ -161,7 +161,8 @@ class TestSimulate:
                      "--out", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
-        dist = ProbabilityDistribution(data["time"], data["m_min"], data["p"])
+        assert (data["m_min"], data["m_max"]) == (-50, 50)
+        dist = ProbabilityDistribution(data["time"], data["p"])
         assert dist.time == 50
         assert abs(dist.probabilities.sum() - 1.0) < 1e-12
         sites = dist.sites
@@ -398,12 +399,17 @@ class TestErrorPaths:
           "matrix": GROVER_ENTRIES[:2]}, SCHEMA),
         ({"family": "custom", "parameter": None,
           "matrix": [z + [0.0] for z in GROVER_ENTRIES]}, SCHEMA),
+        # JSON booleans are not numbers, though Python reads them as 1 and
+        # 0: these entries would otherwise load as the permutation coin.
+        ({"family": "custom", "parameter": None,
+          "matrix": [[x == 1.0, False] for x in (0, 0, 1, 0, 1, 0, 1, 0, 0)]},
+         SCHEMA),
         # The constructor's range check is reported as it is.
         ({"family": "c2", "parameter": 2, "matrix": GROVER_ENTRIES},
          "rho must lie in [0, 1]"),
     ], ids=["missing-key", "not-an-object", "c1-without-parameter",
             "c2-label-mismatch", "custom-with-parameter", "two-entries",
-            "nine-triples", "c2-out-of-range"])
+            "nine-triples", "boolean-entries", "c2-out-of-range"])
     def test_malformed_coin_file_exit_2(self, tmp_path, capsys, record,
                                         message):
         path = tmp_path / "coin.json"
@@ -480,33 +486,38 @@ class TestOutputBytes:
         assert self.COIN.to_json() == self.COIN_JSON
 
     def test_distribution(self, tmp_path):
-        dist = ProbabilityDistribution(2, -1, [0.1, 0.5, 0.4])
+        dist = ProbabilityDistribution(1, [0.1, 0.5, 0.4])
         dist.to_csv(tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_text() == (
             "m,p\n-1,0.10000000000000001\n0,0.5\n1,0.40000000000000002\n"
         )
         assert dist.to_json() == (
-            '{"time": 2, "m_min": -1, "m_max": 1, "p": [0.1, 0.5, 0.4]}'
+            '{"time": 1, "m_min": -1, "m_max": 1, "p": [0.1, 0.5, 0.4]}'
         )
 
     def test_dispersion(self, tmp_path):
-        # Uniform grid with spacing 0.5; the velocities are the periodic
-        # central differences, exact in binary here.
+        # The closed 4-sample grid k = j pi/2.  The velocities are the
+        # periodic central differences over 2h = pi; every phase step here
+        # is exact in binary, so v1 = +-1/pi and v3 = +-0.5/pi to rounding.
         table = DispersionTable(
-            0.5 * np.arange(4),
             [[0.0, 0.5, 1.0, 1.5], [0.1] * 4, [-0.25, 0.0, 0.25, 0.5]],
             self.COIN,
         )
         table.to_csv(tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == (
             "k,omega1,omega2,omega3,v1,v2,v3\n"
-            "0,0,0.10000000000000001,-0.25,-1,0,-0.5\n"
-            "0.5,0.5,0.10000000000000001,0,1,0,0.5\n"
-            "1,1,0.10000000000000001,0.25,1,0,0.5\n"
-            "1.5,1.5,0.10000000000000001,0.5,-1,0,-0.5\n"
+            "0,0,0.10000000000000001,-0.25,"
+            "-0.31830988618379069,0,-0.15915494309189535\n"
+            "1.5707963267948966,0.5,0.10000000000000001,0,"
+            "0.31830988618379069,0,0.15915494309189535\n"
+            "3.1415926535897931,1,0.10000000000000001,0.25,"
+            "0.31830988618379069,0,0.15915494309189535\n"
+            "4.7123889803846897,1.5,0.10000000000000001,0.5,"
+            "-0.31830988618379069,0,-0.15915494309189535\n"
         )
         assert table.to_json() == (
-            '{"k": [0.0, 0.5, 1.0, 1.5], "omega": [[0.0, 0.5, 1.0, 1.5], '
+            '{"k": [0.0, 1.5707963267948966, 3.141592653589793, '
+            '4.71238898038469], "omega": [[0.0, 0.5, 1.0, 1.5], '
             '[0.1, 0.1, 0.1, 0.1], [-0.25, 0.0, 0.25, 0.5]], '
             f'"coin": {self.COIN_JSON}}}'
         )

@@ -155,6 +155,11 @@ class TestFlatBandDetect:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             flat_band_detect(grover_coin(), n_samples=100)
+        with pytest.raises(ValueError, match="^flat band grid must be a "
+                                             "non-negative integer, got 256.7"):
+            flat_band_detect(grover_coin(), n_samples=256.7)
+        assert flat_band_detect(grover_coin(), np.int64(256)) == \
+            flat_band_detect(grover_coin(), 256)
 
 
 class TestLocalizationReport:

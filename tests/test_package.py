@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -39,17 +38,14 @@ def _eigensystem():
 
 
 def _dispersion_table():
-    ks = np.arange(16) * (2.0 * math.pi / 16)
     br = np.zeros((3, 16))
-    return DispersionTable(ks, br, grover_coin()), {"k_grid": ks,
-                                                    "branches": br}
+    return DispersionTable(br, grover_coin()), {"branches": br}
 
 
 def _dispersion_table_with_eigenvectors():
     _, sources = _dispersion_table()
     vec = np.tile(np.eye(3, dtype=np.complex128), (16, 1, 1))
-    return (DispersionTable(sources["k_grid"], sources["branches"],
-                            grover_coin(), vec),
+    return (DispersionTable(sources["branches"], grover_coin(), vec),
             {**sources, "eigenvectors": vec})
 
 
@@ -61,7 +57,7 @@ def _walk_state():
 
 def _distribution():
     p = np.array([0.5, 0.0, 0.5])
-    return ProbabilityDistribution(1, -1, p), {"probabilities": p}
+    return ProbabilityDistribution(1, p), {"probabilities": p}
 
 
 def _localization_report():

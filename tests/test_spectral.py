@@ -106,13 +106,21 @@ class TestDispersionNumeric:
 
     def test_branch_continuity(self):
         table = dispersion_numeric(fourier_coin(), 512)
-        for j in range(3):
-            steps = table.branch_steps(j)
-            assert np.max(np.abs(steps)) < math.pi / 4
+        assert np.max(np.abs(np.diff(table.branches))) < math.pi / 4
+        # The seam step, wrapped, enters the velocities at both ends.
+        h = 2 * math.pi / 512
+        assert np.max(np.abs(group_velocity(table) * h)) < math.pi / 4
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             dispersion_numeric(grover_coin(), 8)
+        # A float size would build an open grid, its last gap half a spacing.
+        with pytest.raises(ValueError, match="^dispersion grid must be a "
+                                             "non-negative integer, got 100.5"):
+            dispersion_numeric(coin_c1(0.6), 100.5)
+        got = dispersion_numeric(coin_c1(0.6), np.int64(20))
+        assert np.array_equal(got.branches,
+                              dispersion_numeric(coin_c1(0.6), 20).branches)
 
     def test_jump_threshold_reported(self, monkeypatch):
         monkeypatch.setattr(spectral, "BRANCH_JUMP_THRESHOLD", 1e-5)
@@ -275,31 +283,24 @@ class TestDispersionAnalytic:
 class TestGroupVelocity:
     def test_flat_branch_velocity_vanishes(self):
         table = dispersion_numeric(coin_c1(0.9), 1024)
-        assert np.max(np.abs(group_velocity(table, 2))) < 1e-9
+        assert np.max(np.abs(group_velocity(table)[2])) < 1e-9
 
     def test_grover_grid_maximum(self):
         table = dispersion_numeric(grover_coin(), 4096)
-        vmax = max(np.max(group_velocity(table, j)) for j in range(2))
+        vmax = np.max(group_velocity(table)[:2])
         assert abs(vmax - V_GROVER) < 1e-5
 
     def test_c2_half_grid_maximum(self):
         table = dispersion_numeric(coin_c2(0.5), 4096)
-        vmax = max(np.max(group_velocity(table, j)) for j in range(2))
+        vmax = np.max(group_velocity(table)[:2])
         assert abs(vmax - 0.5) < 1e-5
 
     def test_winding_branch_seam(self):
         # rho = 1 has strictly linear bands; the seam derivative must not
         # blow up where the unwrapped branch jumps by 2 pi.
         table = dispersion_numeric(coin_c2(1.0), 512)
-        for j in range(2):
-            v = group_velocity(table, j)
-            assert np.max(np.abs(v)) < 1.0 + 1e-9
-
-    def test_non_uniform_grid_rejected(self):
-        ks = np.array([0.0, 0.1, 0.3, 0.35] + list(np.linspace(0.5, 6.0, 12)))
-        table = DispersionTable(ks, np.zeros((3, ks.size)), grover_coin())
-        with pytest.raises(ValueError):
-            group_velocity(table, 0)
+        v = group_velocity(table)[:2]
+        assert np.max(np.abs(v)) < 1.0 + 1e-9
 
 
 class TestStationaryPoint:
@@ -354,6 +355,13 @@ class TestPeakVelocitiesNumeric:
         for rho in np.linspace(0.0, 1.0, 9):
             res = peak_velocities_numeric(coin_c2(rho), 1024)
             assert abs(res.v_right - peak_velocity_c2(rho)) < 1e-6
+
+    def test_grid_must_be_integer(self):
+        with pytest.raises(ValueError, match="^velocity grid must be a "
+                                             "non-negative integer, got 300.5"):
+            peak_velocities_numeric(coin_c1(0.6), 300.5)
+        assert (peak_velocities_numeric(coin_c1(0.6), np.int64(300))
+                == peak_velocities_numeric(coin_c1(0.6), 300))
 
     def test_small_grid_skips_stationary_point(self):
         res = peak_velocities_numeric(grover_coin(), 64)
@@ -465,6 +473,20 @@ class TestStationaryPhasePrediction:
         assert right == expected_peak
         v_r = peak_velocities_numeric(coin, 1024).v_right
         assert abs(right - round(200 * v_r)) <= max_lag
+
+
+class TestDispersionTable:
+    @pytest.mark.parametrize("branches, eigenvectors", [
+        (np.zeros((3, 16)), np.zeros(5)),
+        (np.zeros((3, 16)), np.zeros((15, 3, 3))),
+        (np.zeros((2, 16)), None),
+        (np.zeros((3, 0)), None),
+        (np.zeros(3), None),
+    ], ids=["flat-eigenvectors", "short-eigenvectors", "two-branches",
+            "no-samples", "one-dimensional"])
+    def test_inconsistent_record_rejected(self, branches, eigenvectors):
+        with pytest.raises(ValueError):
+            DispersionTable(branches, grover_coin(), eigenvectors)
 
 
 class TestDispersionTableSerialization:

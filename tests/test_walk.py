@@ -18,6 +18,7 @@ from triwalk.coins import (
 )
 from triwalk.localization import origin_series
 from triwalk.walk import (
+    ProbabilityDistribution,
     WalkState,
     evolve,
     initial_state,
@@ -274,6 +275,17 @@ class TestIntegerTimes:
 
 
 class TestProbabilityDistribution:
+    @pytest.mark.parametrize("time, p", [
+        (1, [0.5, 0.5]),
+        (-3, [0.5, 0.5]),
+        (1.0, [0.5, 0.0, 0.5]),
+        (1, [0.5, float("nan"), 0.5]),
+        (1, [0.5, -0.1, 0.6]),
+    ], ids=["width", "negative-time", "float-time", "nan", "negative"])
+    def test_inconsistent_record_rejected(self, time, p):
+        with pytest.raises(ValueError):
+            ProbabilityDistribution(time, p)
+
     def test_initial_point(self):
         dist = probability_distribution(initial_state(PSI_SYM))
         assert_allclose(dist.probabilities, [1.0])
@@ -324,7 +336,7 @@ class TestProbabilityDistribution:
             evolve(initial_state(PSI_SYM), grover_coin(), 12))
         data = json.loads(dist.to_json())
         assert data["time"] == dist.time
-        assert data["m_min"] == dist.m_min
+        assert (data["m_min"], data["m_max"]) == (-12, 12)
         assert np.array_equal(data["p"], dist.probabilities)
 
 
