@@ -2,9 +2,11 @@
 
 Runs walk simulations, dispersion scans, peak-velocity analyses, parameter
 sweeps, and localization reports, writing CSV or JSON data files suitable
-for plotting.  Exit codes: 0 success, 2 configuration error (also a grid or
-walk too large for memory), 3 numeric or invariant failure, 4 I/O failure.
-Failures emit a one-line JSON error object on stderr.
+for plotting.  Each result record renders its own text (``to_csv()``,
+``to_json()``); this module alone writes files, all through ``_write_text``.
+Exit codes: 0 success, 2 configuration error (also a grid or walk too large
+for memory), 3 numeric or invariant failure, 4 I/O failure.  Failures emit
+a one-line JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .coins import (
     InvariantViolation,
     _csv_text,
     _to_json,
-    _write_text,
     coin_c1,
     coin_c2,
     grover_coin,
@@ -139,7 +140,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--steps is capped at {MAX_STEPS}")
     state = evolve(initial_state(psi), coin, args.steps)
     dist = probability_distribution(state)
-    _write_output(args, dist.to_csv, dist.to_json)
+    _write_output(args, dist)
     left, right = peak_positions(dist)
     print(f"side peaks: left={left} right={right}")
     v = _analytic_velocity(coin)
@@ -155,16 +156,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_dispersion(args: argparse.Namespace) -> int:
     coin = parse_coin(args.coin)
     table = dispersion_numeric(coin, args.grid)
-    _write_output(args, table.to_csv, table.to_json)
+    _write_output(args, table)
     return 0
 
 
 def cmd_velocity(args: argparse.Namespace) -> int:
     coin = parse_coin(args.coin)
     result = peak_velocities_numeric(coin, args.grid)
-    _write_output(args, lambda path: _write_text(path, _csv_text(
-        "v_left,v_right,k0,method", [result.v_left], [result.v_right],
-        [result.k0], [result.method])), result.to_json)
+    _write_output(args, result)
     print(f"v_left = {result.v_left:.9f}, v_right = {result.v_right:.9f}")
     return 0
 
@@ -187,9 +186,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = [run_point(p) for p in np.linspace(0.0, top, args.points)]
 
     keys = ("parameter", "v_analytic", "v_numeric", "deviation_from_linear")
-    _write_output(args, lambda path: _write_text(
-        path, _csv_text(",".join(keys), *zip(*rows))),
-        lambda: _to_json([dict(zip(keys, row)) for row in rows]))
+    _write_text(args.out, _csv_text(",".join(keys), *zip(*rows))
+                if args.format == "csv"
+                else _to_json([dict(zip(keys, row)) for row in rows]))
     return 0
 
 
@@ -199,18 +198,21 @@ def cmd_localize(args: argparse.Namespace) -> int:
     if args.steps > MAX_STEPS:
         raise ConfigError(f"--steps is capped at {MAX_STEPS}")
     report = localization_report(coin, psi, args.steps, n_samples=args.grid)
-    _write_output(args, report.series_to_csv, report.to_json)
+    _write_output(args, report)
     print(f"trapping estimate = {report.trapping_estimate:.6f} "
           f"(converged={report.converged}, flat_band={report.flat_band})")
     return 0
 
 
-def _write_output(args: argparse.Namespace, write_csv, to_json) -> None:
-    """Write ``--out`` in ``--format``: ``write_csv(path)`` or ``to_json()``."""
-    if args.format == "csv":
-        write_csv(args.out)
-    else:
-        _write_text(args.out, to_json())
+def _write_output(args: argparse.Namespace, record) -> None:
+    """Write ``--out``: ``record.to_csv()`` or ``record.to_json()``."""
+    _write_text(args.out, record.to_csv() if args.format == "csv"
+                else record.to_json())
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, coin: bool = True,
-                   state: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, fmt: str = "csv", *,
+                   coin: bool = True, state: bool = False) -> None:
         if coin:
             p.add_argument("--coin", default="grover",
                            help="grover | c1:<phi> | c2:<rho> | pi | "
@@ -234,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=DEFAULT_GRID,
                        help="momentum grid size (default %(default)s)")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format (default csv)")
+        p.add_argument("--format", choices=("csv", "json"), default=fmt,
+                       help="output format (default %(default)s)")
 
     p_sim = sub.add_parser("simulate", help="evolve the walk, write p(m, T)")
     add_common(p_sim, state=True)
@@ -250,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.set_defaults(func=cmd_dispersion)
 
     p_vel = sub.add_parser("velocity", help="numeric peak velocities")
-    add_common(p_vel)
-    p_vel.set_defaults(func=cmd_velocity, format="json")
+    add_common(p_vel, "json")
+    p_vel.set_defaults(func=cmd_velocity)
 
     p_sweep = sub.add_parser("sweep",
                              help="peak velocity across a coin family")
@@ -262,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_loc = sub.add_parser("localize", help="origin-probability trapping report")
-    add_common(p_loc, state=True)
+    add_common(p_loc, "json", state=True)
     p_loc.add_argument("--steps", type=int, default=1000,
                        help="walk length T (default 1000)")
-    p_loc.set_defaults(func=cmd_localize, format="json")
+    p_loc.set_defaults(func=cmd_localize)
     return parser
 
 

@@ -17,7 +17,9 @@ flat-band structure:
 
 Every constructor returns an immutable, unitarity-checked :class:`Coin`.
 eigensystem_of() decomposes any coin, named or custom, by the same numeric
-method, with the eigenvalues in eigenphase order.
+method, with the eigenvalues in eigenphase order.  The package's records
+render their CSV and JSON text with the private helpers here; they return
+text and open no file.
 """
 
 from __future__ import annotations
@@ -180,26 +182,22 @@ def _csv_text(header: str, *columns) -> str:
 
 
 def _encode(obj):
-    """``json.dumps`` fallback for numpy values, complex, enums and coins."""
+    """``json.dumps`` fallback for numpy values, complex and coins.
+
+    A coin is encoded as its record, its family by value; no other enum is.
+    """
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, enum.Enum):
-        return obj.value
     if isinstance(obj, Coin):
-        return {"family": obj.family, "parameter": obj.parameter,
+        return {"family": obj.family.value, "parameter": obj.parameter,
                 "matrix": obj.matrix.ravel()}
     raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
 # JSON text of a record, with the package's values encoded by _encode.
 _to_json = functools.partial(json.dumps, default=_encode)
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coins import Coin, _count, _csv_text, _freeze, _to_json, _write_text
+from .coins import Coin, _count, _csv_text, _freeze, _to_json
 from .spectral import FLAT_BAND_TOL, dispersion_numeric
 from .walk import _walk, initial_state
 
@@ -106,12 +106,12 @@ class LocalizationReport:
     def __post_init__(self) -> None:
         _freeze(self, "series", float)
 
+    def to_csv(self) -> str:
+        """The origin series p(0, t), one row per t."""
+        return _csv_text("t,p0", range(self.series.size), self.series)
+
     def to_json(self) -> str:
         return _to_json(asdict(self))
-
-    def series_to_csv(self, path) -> None:
-        _write_text(path, _csv_text("t,p0", range(self.series.size),
-                                    self.series))
 
 
 def localization_report(

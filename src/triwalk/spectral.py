@@ -36,7 +36,7 @@ from itertools import permutations
 import numpy as np
 
 from .coins import (Coin, InvariantViolation, _count, _csv_text, _freeze,
-                    _to_json, _unitary_eig, _write_text)
+                    _to_json, _unitary_eig)
 
 __all__ = [
     "BranchTrackingError",
@@ -127,10 +127,9 @@ class DispersionTable:
         n = self.branches.shape[1]
         return np.arange(n) * (_TWO_PI / n)
 
-    def to_csv(self, path) -> None:
-        _write_text(path, _csv_text("k,omega1,omega2,omega3,v1,v2,v3",
-                                    self.k_grid, *self.branches,
-                                    *group_velocity(self)))
+    def to_csv(self) -> str:
+        return _csv_text("k,omega1,omega2,omega3,v1,v2,v3", self.k_grid,
+                         *self.branches, *group_velocity(self))
 
     def to_json(self) -> str:
         return _to_json({"k": self.k_grid, "omega": self.branches,
@@ -364,13 +363,13 @@ class PeakVelocityResult:
 
     ``v_right``/``v_left`` are the extremal group velocities in sites per
     step; ``k0`` is the stationary wavenumber they are attained at, when one
-    was identified.  ``method`` names how they were found.
+    was identified.  The CSV and JSON text also carry a ``method`` field,
+    always ``"numeric"``.
     """
 
     v_left: float
     v_right: float
     k0: float | None
-    method: str = "numeric"
 
     def __post_init__(self) -> None:
         if abs(self.v_right) > 1.0 + 1e-9 or abs(self.v_left) > 1.0 + 1e-9:
@@ -379,8 +378,12 @@ class PeakVelocityResult:
                 "one-site-per-step light cone"
             )
 
+    def to_csv(self) -> str:
+        return _csv_text("v_left,v_right,k0,method", [self.v_left],
+                         [self.v_right], [self.k0], ["numeric"])
+
     def to_json(self) -> str:
-        return _to_json(asdict(self))
+        return _to_json({**asdict(self), "method": "numeric"})
 
 
 def peak_velocities_numeric(coin: Coin,

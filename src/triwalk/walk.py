@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin, _count, _csv_text, _freeze, _to_json, _write_text
+from .coins import Coin, _count, _csv_text, _freeze, _to_json
 
 __all__ = [
     "WalkState",
@@ -78,8 +78,8 @@ class ProbabilityDistribution:
     def sites(self) -> np.ndarray:
         return np.arange(-self.time, self.time + 1)
 
-    def to_csv(self, path) -> None:
-        _write_text(path, _csv_text("m,p", self.sites, self.probabilities))
+    def to_csv(self) -> str:
+        return _csv_text("m,p", self.sites, self.probabilities)
 
     def to_json(self) -> str:
         return _to_json({"time": self.time, "m_min": -self.time,

@@ -217,10 +217,11 @@ class TestVelocity:
     def test_grover_json(self, tmp_path):
         out = tmp_path / "vel.json"
         assert main(["velocity", "--coin", "grover", "--out", str(out)]) == 0
-        result = PeakVelocityResult(**json.loads(out.read_text()))
+        data = json.loads(out.read_text())
+        assert data.pop("method") == "numeric"
+        result = PeakVelocityResult(**data)
         assert abs(result.v_right - 0.57735) < 1e-4
         assert abs(result.v_right - 1 / math.sqrt(3)) < 1e-6
-        assert result.method == "numeric"
 
     def test_csv_variant(self, tmp_path):
         out = tmp_path / "vel.csv"
@@ -238,7 +239,9 @@ class TestVelocity:
         out = tmp_path / "vel.json"
         assert main(["velocity", "--coin", f"matrix:{path}", "--grid", "1024",
                      "--out", str(out)]) == 0
-        result = PeakVelocityResult(**json.loads(out.read_text()))
+        data = json.loads(out.read_text())
+        assert data.pop("method") == "numeric"
+        result = PeakVelocityResult(**data)
         assert result.v_right <= 1.0 + 1e-9
 
 
@@ -468,7 +471,7 @@ class TestErrorPaths:
 
 
 class TestOutputBytes:
-    """Exact bytes of every writer on hand-built records.
+    """Exact text of every record's renderers on hand-built records.
 
     No eigensolver is involved, so the bytes are the same on any machine.
     CSV floats carry 17 significant digits (0.1 is 0.10000000000000001);
@@ -485,17 +488,16 @@ class TestOutputBytes:
     def test_coin(self):
         assert self.COIN.to_json() == self.COIN_JSON
 
-    def test_distribution(self, tmp_path):
+    def test_distribution(self):
         dist = ProbabilityDistribution(1, [0.1, 0.5, 0.4])
-        dist.to_csv(tmp_path / "d.csv")
-        assert (tmp_path / "d.csv").read_text() == (
+        assert dist.to_csv() == (
             "m,p\n-1,0.10000000000000001\n0,0.5\n1,0.40000000000000002\n"
         )
         assert dist.to_json() == (
             '{"time": 1, "m_min": -1, "m_max": 1, "p": [0.1, 0.5, 0.4]}'
         )
 
-    def test_dispersion(self, tmp_path):
+    def test_dispersion(self):
         # The closed 4-sample grid k = j pi/2.  The velocities are the
         # periodic central differences over 2h = pi; every phase step here
         # is exact in binary, so v1 = +-1/pi and v3 = +-0.5/pi to rounding.
@@ -503,8 +505,7 @@ class TestOutputBytes:
             [[0.0, 0.5, 1.0, 1.5], [0.1] * 4, [-0.25, 0.0, 0.25, 0.5]],
             self.COIN,
         )
-        table.to_csv(tmp_path / "t.csv")
-        assert (tmp_path / "t.csv").read_text() == (
+        assert table.to_csv() == (
             "k,omega1,omega2,omega3,v1,v2,v3\n"
             "0,0,0.10000000000000001,-0.25,"
             "-0.31830988618379069,0,-0.15915494309189535\n"
@@ -527,26 +528,26 @@ class TestOutputBytes:
         (None, "", "null"),
     ])
     def test_velocity(self, tmp_path, monkeypatch, k0, csv_k0, json_k0):
-        result = PeakVelocityResult(-0.25, 0.1, k0, "numeric")
+        result = PeakVelocityResult(-0.25, 0.1, k0)
         monkeypatch.setattr(cli, "peak_velocities_numeric",
                             lambda coin, grid: result)
         for fmt in ("csv", "json"):
             assert main(["velocity", "--format", fmt,
                          "--out", str(tmp_path / fmt)]) == 0
-        assert (tmp_path / "csv").read_text() == (
-            "v_left,v_right,k0,method\n"
-            f"-0.25,0.10000000000000001,{csv_k0},numeric\n"
-        )
+        expected_csv = ("v_left,v_right,k0,method\n"
+                        f"-0.25,0.10000000000000001,{csv_k0},numeric\n")
         expected_json = ('{"v_left": -0.25, "v_right": 0.1, '
                          f'"k0": {json_k0}, "method": "numeric"}}')
-        assert (tmp_path / "json").read_text() == expected_json
+        assert result.to_csv() == expected_csv
         assert result.to_json() == expected_json
+        assert (tmp_path / "csv").read_text() == expected_csv
+        assert (tmp_path / "json").read_text() == expected_json
 
     @pytest.mark.parametrize("eigenvalue, json_eigenvalue", [
         (complex(0.6, 0.8), "true, \"flat_band_eigenvalue\": [0.6, 0.8]"),
         (None, "false, \"flat_band_eigenvalue\": null"),
     ])
-    def test_localization(self, tmp_path, eigenvalue, json_eigenvalue):
+    def test_localization(self, eigenvalue, json_eigenvalue):
         report = LocalizationReport([1.0, 0.1, 0.25], (0.1, 0.125), 0.125,
                                     False, eigenvalue is not None, eigenvalue)
         assert report.to_json() == (
@@ -554,14 +555,13 @@ class TestOutputBytes:
             '"trapping_estimate": 0.125, "converged": false, '
             f'"flat_band": {json_eigenvalue}}}'
         )
-        report.series_to_csv(tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_text() == (
+        assert report.to_csv() == (
             "t,p0\n0,1\n1,0.10000000000000001\n2,0.25\n"
         )
 
     def test_sweep(self, tmp_path, monkeypatch):
         # c2 at rho = 0 and 1: the analytic velocity is rho, the deviation 0.
-        result = PeakVelocityResult(-0.1, 0.1, None, "numeric")
+        result = PeakVelocityResult(-0.1, 0.1, None)
         monkeypatch.setattr(cli, "peak_velocities_numeric",
                             lambda coin, grid: result)
         for fmt in ("csv", "json"):
@@ -578,3 +578,61 @@ class TestOutputBytes:
             '{"parameter": 1.0, "v_analytic": 1.0, "v_numeric": 0.1, '
             '"deviation_from_linear": 0.0}]'
         )
+
+
+# Each command, the cli global that builds its output record (the sweep
+# builds its rows itself) and the options of a small run.
+COMMANDS = {
+    "simulate": ("probability_distribution", ["--steps", "5"]),
+    "dispersion": ("dispersion_numeric", ["--grid", "64"]),
+    "velocity": ("peak_velocities_numeric", ["--grid", "64"]),
+    "sweep": (None, ["--family", "c2", "--points", "2", "--grid", "64"]),
+    "localize": ("localization_report", ["--steps", "199", "--grid", "256"]),
+}
+
+
+class TestOneWriter:
+    """Every command writes its output file through ``cli._write_text`` only."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_output_is_the_records_text(self, tmp_path, monkeypatch,
+                                        command, fmt):
+        producer, options = COMMANDS[command]
+        records, writes = [], []
+        if producer is not None:
+            build = getattr(cli, producer)
+
+            def spy(*args, **kwargs):
+                records.append(build(*args, **kwargs))
+                return records[-1]
+
+            monkeypatch.setattr(cli, producer, spy)
+        monkeypatch.setattr(cli, "_write_text",
+                            lambda path, text: writes.append((path, text)))
+        out = tmp_path / "out"
+        assert main([command, *options, "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert not out.exists()  # no other writer
+        [(path, text)] = writes
+        assert path == str(out)
+        if producer is None:
+            rows = (text.splitlines()[1:] if fmt == "csv"
+                    else json.loads(text))
+            assert len(rows) == 2
+        else:
+            [record] = records
+            assert text == (record.to_csv() if fmt == "csv"
+                            else record.to_json())
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_format_help_names_the_default(self, capsys, command):
+        # velocity and localize default to JSON, the others to CSV.
+        _, options = COMMANDS[command]
+        args = build_parser().parse_args([command, *options, "--out", "x"])
+        assert args.format == ("json" if command in ("velocity", "localize")
+                               else "csv")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"output format (default {args.format})" in text

@@ -206,11 +206,9 @@ class TestLocalizationReport:
                                              "integer, got 300.0$"):
             localization_report(grover_coin(), PSI_SYM, 300.0)
 
-    def test_series_csv(self, tmp_path):
+    def test_series_csv(self):
         report = localization_report(grover_coin(), PSI_SYM, 250)
-        path = tmp_path / "origin.csv"
-        report.series_to_csv(path)
-        lines = path.read_text().splitlines()
+        lines = report.to_csv().splitlines()
         assert lines[0] == "t,p0"
         assert len(lines) == 252
         t, p0 = lines[1].split(",")

@@ -1,4 +1,7 @@
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,3 +85,20 @@ def test_records_store_read_only_copies(build):
         assert not stored.flags.writeable, name
         assert stored is not source, name
         np.testing.assert_array_equal(stored, source)
+
+
+# Calls that open a file: the builtin and the file methods of ``pathlib``.
+_FILE_OPENERS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def test_only_cli_opens_files():
+    # Records render text; the CLI alone reads coin files and writes output.
+    opened = {}
+    for path in sorted(Path(triwalk.__file__).parent.glob("*.py")):
+        calls = [node.func for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)]
+        names = [getattr(f, "id", None) or getattr(f, "attr", None)
+                 for f in calls]
+        opened[path.name] = [n for n in names if n in _FILE_OPENERS]
+    assert "open" in opened.pop("cli.py")
+    assert not {name: calls for name, calls in opened.items() if calls}

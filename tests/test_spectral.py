@@ -326,7 +326,7 @@ class TestPeakVelocitiesNumeric:
         assert abs(res.v_right - V_GROVER) < 1e-6
         assert abs(res.v_left + V_GROVER) < 1e-6
         assert abs(res.k0) < 1e-6
-        assert res.method == "numeric"
+        assert json.loads(res.to_json())["method"] == "numeric"
 
     def test_all_flat_walk_does_not_spread(self):
         res = peak_velocities_numeric(coin_c1(math.pi / 2))
@@ -370,8 +370,9 @@ class TestPeakVelocitiesNumeric:
 
     def test_json_round_trip(self):
         res = peak_velocities_numeric(grover_coin(), 512)
-        loaded = PeakVelocityResult(**json.loads(res.to_json()))
-        assert loaded == res
+        data = json.loads(res.to_json())
+        assert data.pop("method") == "numeric"
+        assert PeakVelocityResult(**data) == res
 
 
 def eigenvector_peak_search(coin: Coin, n: int):
@@ -490,11 +491,9 @@ class TestDispersionTable:
 
 
 class TestDispersionTableSerialization:
-    def test_csv_columns(self, tmp_path):
+    def test_csv_columns(self):
         table = dispersion_numeric(grover_coin(), 64)
-        path = tmp_path / "disp.csv"
-        table.to_csv(path)
-        lines = path.read_text().splitlines()
+        lines = table.to_csv().splitlines()
         assert lines[0] == "k,omega1,omega2,omega3,v1,v2,v3"
         assert len(lines) == 65
         row = [float(x) for x in lines[1].split(",")]

@@ -319,12 +319,10 @@ class TestProbabilityDistribution:
             state = step(state, coin)
             assert abs(state.norm_squared() - 1.0) < 1e-12
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         dist = probability_distribution(
             evolve(initial_state(PSI_SYM), grover_coin(), 3))
-        path = tmp_path / "dist.csv"
-        dist.to_csv(path)
-        lines = path.read_text().splitlines()
+        lines = dist.to_csv().splitlines()
         assert lines[0] == "m,p"
         assert len(lines) == 8
         m, p = lines[1].split(",")
