@@ -50,6 +50,9 @@ _DEFAULT_STATE = (
     "0.57735026918962576,0,-0.57735026918962576,0,0.57735026918962576,0"
 )
 
+# The one-parameter families: constructor and the top of the sweep range.
+_FAMILIES = {"c1": (coin_c1, math.pi / 2.0), "c2": (coin_c2, 1.0)}
+
 
 class ConfigError(Exception):
     """Invalid command-line configuration."""
@@ -62,13 +65,11 @@ def parse_coin(spec: str) -> Coin:
         return grover_coin()
     if spec == "pi":
         return permutation_coin()
-    if spec.startswith("c1:"):
-        return coin_c1(_parse_float(spec[3:], "c1 parameter"))
-    if spec.startswith("c2:"):
-        return coin_c2(_parse_float(spec[3:], "c2 parameter"))
-    if spec.startswith("matrix:"):
-        path = spec[len("matrix:"):]
-        with open(path, "r", encoding="utf-8") as fh:
+    name, colon, arg = spec.partition(":")
+    if colon and name in _FAMILIES:
+        return _FAMILIES[name][0](_parse_float(arg, f"{name} parameter"))
+    if colon and name == "matrix":
+        with open(arg, "r", encoding="utf-8") as fh:
             return Coin.from_json(fh.read())
     raise ConfigError(
         f"unrecognized coin spec {spec!r}; expected grover, c1:<phi>, "
@@ -107,7 +108,9 @@ def parse_state(spec: str) -> np.ndarray:
     scale = 1.0 if in_range else max(map(abs, vals))
     if scale == 0.0:
         raise ConfigError("state vector must be nonzero")
-    psi = psi / scale
+    # Divide the float view: numpy's complex division multiplies by
+    # 1 / scale, which overflows for a subnormal scale.
+    psi = (psi.view(float) / scale).view(complex)
     norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     shown = norm * scale
     if abs(shown - 1.0) > 1e-9:
@@ -171,10 +174,7 @@ def cmd_velocity(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
-    if args.family == "c1":
-        make_coin, top = coin_c1, math.pi / 2.0
-    else:
-        make_coin, top = coin_c2, 1.0
+    make_coin, top = _FAMILIES[args.family]
 
     def run_point(p: float) -> tuple[float, float, float, float]:
         coin = make_coin(p)
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep",
                              help="peak velocity across a coin family")
-    p_sweep.add_argument("--family", choices=("c1", "c2"), required=True)
+    p_sweep.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p_sweep.add_argument("--points", type=int, default=50,
                          help="number of parameter samples (default 50)")
     add_common(p_sweep, coin=False)

@@ -153,15 +153,10 @@ def peak_positions(dist: ProbabilityDistribution) -> tuple[int | None, int | Non
     """Sites of the distribution maxima on the m < 0 and m > 0 half-lines.
 
     Returns (left_peak, right_peak); a side is None when the walker has no
-    support there.
+    support there.  Index i of the probabilities p is site i - T, so
+    ``p[:T]`` is the left half-line and ``p[T + 1:]`` starts at site 1.
     """
-    sites = dist.sites
-    p = dist.probabilities
-    left = right = None
-    neg = sites < 0
-    pos = sites > 0
-    if np.any(neg) and p[neg].max() > 0.0:
-        left = int(sites[neg][np.argmax(p[neg])])
-    if np.any(pos) and p[pos].max() > 0.0:
-        right = int(sites[pos][np.argmax(p[pos])])
-    return left, right
+    t, p = dist.time, dist.probabilities
+    return tuple(int(np.argmax(side)) + offset
+                 if side.max(initial=0.0) > 0.0 else None
+                 for side, offset in ((p[:t], -t), (p[t + 1:], 1)))

@@ -68,22 +68,22 @@ def dense_evolve(coin_matrix: np.ndarray, psi_c: np.ndarray, t: int,
     return vec.reshape(n, 3)
 
 
-def fourier_evolve_distribution(coin_matrix: np.ndarray, psi_c: np.ndarray,
-                                t: int, n_modes: int = 512) -> dict[int, float]:
-    """Position distribution after t steps via momentum-mode powers.
+def fft_evolve(coin_matrix: np.ndarray, psi_c: np.ndarray, t: int,
+               n_modes: int) -> np.ndarray:
+    """Amplitudes after t steps from the origin, by momentum-mode powers.
 
-    Each Fourier mode is propagated independently and inverted by a plain
-    discrete sum; exact (no aliasing) while n_modes > 2t + 1.
+    Raises every U(k) on the grid k = 2 pi j / n_modes to the power t, applies
+    it to psi_c and inverts with one FFT: the amplitude at site m is
+    ``fft[m % n_modes] / n_modes``.  No eigenvectors, so degenerate coins
+    need no care; exact (no aliasing) while n_modes >= 2t + 1.  Returns the
+    (2t + 1, 3) array whose row i is site i - t.
     """
+    if n_modes < 2 * t + 1:
+        raise ValueError("n_modes must be at least 2t + 1")
     ks = 2.0 * np.pi * np.arange(n_modes) / n_modes
-    modes = np.empty((n_modes, 3), dtype=complex)
-    for i, u in enumerate(propagators(coin_matrix, ks)):
-        modes[i] = np.linalg.matrix_power(u, t) @ psi_c
-    out: dict[int, float] = {}
-    for m in range(-t, t + 1):
-        amp = (np.exp(-1j * m * ks)[:, None] * modes).mean(axis=0)
-        out[m] = float(np.sum(np.abs(amp) ** 2))
-    return out
+    modes = np.linalg.matrix_power(propagators(coin_matrix, ks), t) @ psi_c
+    amps = np.fft.fft(modes, axis=0) / n_modes
+    return amps[np.arange(-t, t + 1) % n_modes]
 
 
 def flat_band_trapped_probability(coin_matrix: np.ndarray, psi_c: np.ndarray,

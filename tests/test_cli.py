@@ -102,6 +102,28 @@ class TestCoinSpecGrammar:
         with pytest.raises(ConfigError):
             parse_coin("hadamard")
 
+    UNRECOGNIZED = ("unrecognized coin spec {!r}; expected grover, c1:<phi>, "
+                    "c2:<rho>, pi, or matrix:<path>")
+
+    @pytest.mark.parametrize("spec, code, error, message", [
+        ("c1", 2, "ConfigError", UNRECOGNIZED.format("c1")),
+        ("c1:", 2, "ConfigError", "c1 parameter must be a number, got ''"),
+        ("c1:x", 2, "ConfigError", "c1 parameter must be a number, got 'x'"),
+        ("c2:", 2, "ConfigError", "c2 parameter must be a number, got ''"),
+        ("c3:0.5", 2, "ConfigError", UNRECOGNIZED.format("c3:0.5")),
+        ("pi:", 2, "ConfigError", UNRECOGNIZED.format("pi:")),
+        ("matrix", 2, "ConfigError", UNRECOGNIZED.format("matrix")),
+        ("matrix:", 4, "FileNotFoundError",
+         "[Errno 2] No such file or directory: ''"),
+    ])
+    def test_bad_spec_exit_and_message(self, tmp_path, capsys, spec, code,
+                                       error, message):
+        out = tmp_path / "vel.json"
+        assert main(["velocity", "--coin", spec, "--out", str(out)]) == code
+        assert json.loads(capsys.readouterr().err) == {"error": error,
+                                                       "message": message}
+        assert not out.exists()
+
 
 class TestStateParsing:
     def test_six_reals(self):
@@ -119,15 +141,31 @@ class TestStateParsing:
         with pytest.raises(ConfigError):
             parse_state("1,2,3")
 
-    @pytest.mark.parametrize("spec", ["1e200,0,0,0,0,0", "1e-200,0,0,0,0,0"])
+    @pytest.mark.parametrize("spec", [
+        "1e200,0,0,0,0,0",
+        "1e-200,0,0,0,0,0",
+        "1e-320,0,0,0,0,0",  # subnormal
+        "0,0,0,0,5e-324,0",  # the least subnormal
+    ])
     def test_extreme_scale_normalizes(self, spec):
         # The plain sum of squares overflows or underflows here; the state
-        # still normalizes to (1, 0, 0), as "2,0,0,0,0,0" does.
+        # still normalizes to a unit vector, as it does with a 2 in place of
+        # the nonzero component.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             psi = parse_state(spec)
-        assert psi.tolist() == [1, 0, 0]
-        assert np.array_equal(psi, parse_state("2,0,0,0,0,0"))
+        plain = ",".join("2" if float(x) else "0" for x in spec.split(","))
+        assert sorted(psi.tolist(), key=abs) == [0, 0, 1]
+        assert np.array_equal(psi, parse_state(plain))
+
+    @pytest.mark.parametrize("spec", ["1e-320,0,0,0,0,0", "0,0,0,0,5e-324,0"])
+    def test_subnormal_state_runs(self, tmp_path, capsys, spec):
+        code = main(["simulate", "--state", spec, "--steps", "3",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"warning: state norm was \S+; normalizing", err[0])
 
     def test_norm_beyond_double_range_reported(self, capsys):
         # The true norm, sqrt(6) * 1e308, overflows a double.
@@ -285,6 +323,17 @@ class TestSweep:
             (p, p, peak_velocities_numeric(coin_c2(p), 512).v_right)
             for p in np.linspace(0.0, 1.0, 5)
         ]
+
+    def test_unknown_family_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "c3", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'c3'" in capsys.readouterr().err
+
+    def test_help_names_the_families(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "--family {c1,c2}" in capsys.readouterr().out
 
     def test_threads_option_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import triwalk.localization as localization
 from oracles import dispersion_analytic, flat_band_trapped_probability
+from test_properties import random_state
 from triwalk.coins import (
     coin_c1,
     coin_c2,
@@ -23,10 +24,10 @@ from triwalk.localization import (
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
 
-# Bound-state projection value for the Grover walk started in PSI_SYM,
-# computed by the independent momentum-space oracle (spectrally convergent,
-# stable to 13 digits from 256 modes up).
-GROVER_TRAPPED_LIMIT = 0.0336735048112146
+# Bound-state projection limit for the Grover walk started in PSI_SYM, in
+# closed form: 0.03367350481121475.  The projection onto the flat band
+# follows Inui, Konno and Segawa, Phys. Rev. E 72, 056112 (2005).
+GROVER_TRAPPED_LIMIT = (5.0 - 2.0 * math.sqrt(6.0)) / 3.0
 # Frozen Cesaro window averages of the engine's origin series at T = 1000.
 GROVER_WINDOWS_T1000 = (0.03441055122014052, 0.034226644512929026)
 
@@ -94,6 +95,26 @@ class TestTrappingEstimate:
         est_2k = trapping_estimate(origin_series(grover_coin(), PSI_SYM, 2000))
         assert abs(est_1k.value - oracle) < 1e-3
         assert abs(est_2k.value - oracle) < abs(est_1k.value - oracle)
+
+    @pytest.mark.parametrize("n_modes", [1024, 4096])
+    def test_oracle_meets_closed_form(self, n_modes):
+        # Measured 8.3e-17 and 1.6e-16 away.
+        oracle = flat_band_trapped_probability(grover_coin().matrix, PSI_SYM,
+                                               n_modes)
+        assert abs(oracle - GROVER_TRAPPED_LIMIT) < 1e-15
+
+    @pytest.mark.parametrize("phi", [0.3, 0.6, 1.0, 1.4])
+    def test_c1_limit_is_grovers(self, phi):
+        # c1 keeps the Grover coin's eigenbasis, so its trapping limit does
+        # not depend on phi (measured at most 1.2e-16 away).
+        oracle = flat_band_trapped_probability(coin_c1(phi).matrix, PSI_SYM)
+        assert abs(oracle - GROVER_TRAPPED_LIMIT) < 1e-15
+
+    def test_c1_limit_is_flat_in_phi_from_any_state(self):
+        psi = random_state(7)
+        limits = [flat_band_trapped_probability(coin_c1(phi).matrix, psi)
+                  for phi in (0.0, 0.4, 0.8, 1.2, 1.5)]
+        assert max(limits) - min(limits) < 1e-15  # measured 2.8e-16
 
     @pytest.mark.parametrize("phi,t_max", [(0.3, 1000), (0.7, 1000),
                                            (1.2, 2000)])

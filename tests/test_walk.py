@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import dense_evolve, fourier_evolve_distribution
+from oracles import dense_evolve, fft_evolve
 from test_properties import haar_unitary, random_state
 from triwalk.coins import (
     Coin,
@@ -129,12 +131,38 @@ class TestEvolve:
 
     def test_matches_momentum_oracle(self):
         t = 30
-        expected = fourier_evolve_distribution(grover_coin().matrix, PSI_SYM,
-                                               t, n_modes=128)
+        expected = fft_evolve(grover_coin().matrix, PSI_SYM, t, n_modes=128)
         dist = probability_distribution(
             evolve(initial_state(PSI_SYM), grover_coin(), t))
-        for m, p in zip(dist.sites, dist.probabilities):
-            assert abs(p - expected[int(m)]) < 1e-12
+        p = np.sum(np.abs(expected) ** 2, axis=1)
+        assert np.max(np.abs(dist.probabilities - p)) < 1e-12
+
+
+# Long walks against the FFT oracle: T = 4000 on 8192 modes, well past the
+# 2T + 1 needed for no aliasing.  Measured worst amplitude deviations are
+# 1e-14 to 4e-14, and 3e-13 for c2(1).
+LONG_T, LONG_MODES = 4000, 8192
+LONG_COINS = {"grover": grover_coin(), "c1-0.6": coin_c1(0.6),
+              "c2-0.9": coin_c2(0.9), "c2-1": coin_c2(1.0),
+              "pi": permutation_coin(), "haar1": Coin(haar_unitary(1)),
+              "haar2": Coin(haar_unitary(2))}
+
+
+class TestLongWalks:
+    @pytest.mark.parametrize("coin", LONG_COINS.values(), ids=list(LONG_COINS))
+    def test_evolve_matches_fft_oracle(self, coin):
+        expected = fft_evolve(coin.matrix, PSI_SYM, LONG_T, LONG_MODES)
+        state = evolve(initial_state(PSI_SYM), coin, LONG_T)
+        assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["grover", "pi"])
+    def test_origin_series_matches_fft_oracle(self, name):
+        # The oracle needs only 2t + 1 modes for the amplitude at time t.
+        coin = LONG_COINS[name]
+        series = origin_series(coin, PSI_SYM, LONG_T)
+        for t in (1, 2, 3, 10, 333, 1024, 2999, LONG_T):
+            amp = fft_evolve(coin.matrix, PSI_SYM, t, 2 * t + 1)[t]
+            assert abs(series[t] - np.sum(np.abs(amp) ** 2)) < 1e-12
 
 
 def allocating_step(state, coin):
@@ -338,7 +366,39 @@ class TestProbabilityDistribution:
         assert np.array_equal(data["p"], dist.probabilities)
 
 
+def mask_peak_positions(dist):
+    """The half-line maxima by boolean masks over the site axis."""
+    sites = dist.sites
+    p = dist.probabilities
+    left = right = None
+    neg = sites < 0
+    pos = sites > 0
+    if np.any(neg) and p[neg].max() > 0.0:
+        left = int(sites[neg][np.argmax(p[neg])])
+    if np.any(pos) and p[pos].max() > 0.0:
+        right = int(sites[pos][np.argmax(p[pos])])
+    return left, right
+
+
+# Entries that make ties, empty sides and tiny negative rounding likely.
+entries = st.one_of(st.sampled_from([0.0, -0.0, -1e-12, -5e-13, 5e-324,
+                                     0.25, 0.5]),
+                    st.floats(min_value=-1e-12, max_value=1.0))
+
+
 class TestPeakPositions:
     def test_no_side_support(self):
         dist = probability_distribution(initial_state(PSI_SYM))
         assert peak_positions(dist) == (None, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=12).flatmap(
+        lambda t: st.lists(entries, min_size=2 * t + 1, max_size=2 * t + 1)))
+    @example([1.0])
+    @example([0.5, 0.0, 0.5])              # tie across the origin
+    @example([0.25, 0.25, 0.0, 0.5, 0.5])  # first maximum on each side
+    @example([0.0, 0.0, 1.0, 0.0, 0.0])    # no side support
+    @example([-1e-12, 0.0, 1.0, 0.3, 0.3])  # left side only rounding
+    def test_matches_mask_rule(self, p):
+        dist = ProbabilityDistribution(len(p) // 2, np.array(p))
+        assert peak_positions(dist) == mask_peak_positions(dist)

@@ -1,0 +1,197 @@
+"""Byte-identity manifest of the command-line output.
+
+Runs one fixed list of ``triwalk`` invocations in process through
+``triwalk.cli.main``, catching argparse's ``SystemExit``, and records for
+each the exit code and the SHA-256 of its stdout, its stderr and its
+``--out`` file.  The work directory and the ``--src`` path are replaced by
+``<work>`` and ``<src>`` before hashing, so manifests written from two
+source trees compare.  Digests depend on the machine and its BLAS build:
+compare only manifests written on one machine, and commit none.
+
+    python tools/identity.py --src PARENT/src --write old.json
+    python tools/identity.py --write new.json
+    python tools/identity.py --diff old.json new.json
+
+``--diff`` prints "N of N identical", lists each invocation that differs,
+and exits 1 when any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+WORK, SRC = "<work>", "<src>"
+OUT = f"{WORK}/out"
+
+COINS = ("grover", "c1:0.6", "c1:2.0", "c1:1.5707963267948966", "c2:0",
+         "c2:0.9", "c2:1.0", "c2:0.999999999", "pi", f"matrix:{WORK}/haar.json")
+
+PER_COIN = (
+    ("simulate", "--steps", "50"),
+    ("simulate", "--steps", "50", "--format", "json"),
+    ("dispersion", "--grid", "512"),
+    ("dispersion", "--grid", "512", "--format", "json"),
+    ("velocity",),
+    ("velocity", "--grid", "128", "--format", "csv"),  # k0 is empty
+    ("localize", "--steps", "300", "--grid", "256"),
+    ("localize", "--steps", "300", "--grid", "256", "--format", "csv"),
+)
+
+GROVER_ENTRIES = [[2 / 3 - (i == j), 0.0] for i in range(3) for j in range(3)]
+
+# The coin files that the CLI must refuse with exit code 2.
+MALFORMED = (
+    {"family": "grover"},
+    GROVER_ENTRIES,
+    {"family": "c1", "parameter": None, "matrix": GROVER_ENTRIES},
+    {"family": "c2", "parameter": 0.3, "matrix": GROVER_ENTRIES},
+    {"family": "custom", "parameter": 0.5, "matrix": GROVER_ENTRIES},
+    {"family": "custom", "parameter": None, "matrix": GROVER_ENTRIES[:2]},
+    {"family": "custom", "parameter": None,
+     "matrix": [z + [0.0] for z in GROVER_ENTRIES]},
+    {"family": "custom", "parameter": None,
+     "matrix": [[x == 1, False] for x in (0, 0, 1, 0, 1, 0, 1, 0, 0)]},
+    {"family": "c2", "parameter": 2, "matrix": GROVER_ENTRIES},
+)
+
+BAD_SPECS = ("c1", "c1:", "c1:x", "c3:0.5", "pi:", "matrix", "matrix:",
+             f"matrix:{WORK}/missing.json")
+
+
+def invocations() -> list[tuple[str, ...]]:
+    """The fixed list, with ``<work>`` standing for the work directory."""
+    runs = [(*cmd, "--coin", coin, "--out", OUT)
+            for coin in COINS for cmd in PER_COIN]
+    runs += [
+        ("sweep", "--family", "c1", "--points", "12", "--out", OUT),
+        ("sweep", "--family", "c2", "--points", "6", "--format", "json",
+         "--out", OUT),
+        ("sweep", "--family", "c3", "--out", OUT),
+        ("simulate", "--steps", "4000", "--out", OUT),
+        ("localize", "--steps", "4000", "--out", OUT),
+        ("localize", "--grid", "128", "--out", OUT),
+        *((cmd, "--out", f"{WORK}/missing/out")
+          for cmd in ("simulate", "dispersion", "velocity", "localize")),
+        *(("simulate", "--coin", f"matrix:{WORK}/malformed{i}.json",
+           "--steps", "3", "--grid", "512", "--out", OUT)
+          for i in range(len(MALFORMED))),
+        *(("velocity", "--coin", spec, "--out", OUT) for spec in BAD_SPECS),
+        *(("simulate", "--state", state, "--steps", "3", "--out", OUT)
+          for state in ("1e-320,0,0,0,0,0", "0,0,0,0,5e-324,0")),
+        (),
+        ("--help",),
+        *((cmd, "--help") for cmd in
+          ("simulate", "dispersion", "velocity", "sweep", "localize")),
+    ]
+    return runs
+
+
+def write_inputs(work: Path) -> None:
+    """The seeded Haar coin file and the malformed coin files."""
+    rng = np.random.default_rng(2012)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    haar = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
+    entries = [[float(z.real), float(z.imag)] for z in haar.ravel()]
+    (work / "haar.json").write_text(json.dumps(
+        {"family": "custom", "parameter": None, "matrix": entries}))
+    for i, record in enumerate(MALFORMED):
+        (work / f"malformed{i}.json").write_text(json.dumps(record))
+
+
+def _digest(text: str | bytes) -> str:
+    data = text.encode() if isinstance(text, str) else text
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_all(src: Path) -> dict[str, dict]:
+    """Run every invocation against the package under ``src``."""
+    src_text = str(src)
+    sys.path.insert(0, src_text)
+    from triwalk import cli
+
+    if not cli.__file__.startswith(src_text):
+        raise SystemExit(f"imported {cli.__file__}, not the tree under {src}")
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal
+    manifest = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_inputs(work)
+
+        def mask(text: str) -> str:
+            return text.replace(tmp, WORK).replace(src_text, SRC)
+
+        for argv in invocations():
+            out, err = io.StringIO(), io.StringIO()
+            # A fresh warnings context shows each warning once per
+            # invocation, as a new process would.
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([a.replace(WORK, tmp) for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            out_file = work / "out"
+            manifest[" ".join(("triwalk", *argv))] = {
+                "exit": code,
+                "stdout": _digest(mask(out.getvalue())),
+                "stderr": _digest(mask(err.getvalue())),
+                "out": _digest(out_file.read_bytes())
+                if out_file.exists() else None,
+            }
+            out_file.unlink(missing_ok=True)
+    return manifest
+
+
+def diff(a: dict[str, dict], b: dict[str, dict]) -> list[str]:
+    """One line per invocation that differs or is missing from a manifest."""
+    lines = []
+    for key in {**a, **b}:
+        if key not in a or key not in b:
+            lines.append(f"only in {'B' if key not in a else 'A'}: {key}")
+        elif a[key] != b[key]:
+            fields = [f for f in a[key] if a[key][f] != b[key].get(f)]
+            lines.append(f"differs ({', '.join(fields)}): {key}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src",
+                        help="source tree to import triwalk from "
+                             "(default: this checkout's src/)")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--write", metavar="FILE", type=Path,
+                        help="run the invocations and write their manifest")
+    action.add_argument("--diff", nargs=2, metavar=("A", "B"), type=Path,
+                        help="compare two manifests")
+    args = parser.parse_args(argv)
+    if args.diff:
+        a, b = (json.loads(p.read_text()) for p in args.diff)
+        lines = diff(a, b)
+        total = len({**a, **b})
+        print(f"{total - len(lines)} of {total} identical")
+        print("\n".join(lines), end="\n" if lines else "")
+        return 1 if lines else 0
+    start = time.perf_counter()
+    manifest = run_all(Path(os.path.abspath(args.src)))
+    args.write.write_text(json.dumps(manifest, indent=1) + "\n")
+    print(f"{len(manifest)} invocations in "
+          f"{time.perf_counter() - start:.1f} s -> {args.write}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
