@@ -145,8 +145,8 @@ class Coin:
         A named family's constructor must give the matrix, entrywise within
         ``UNITARITY_TOL``, at the stored parameter, which it then normalizes.
         """
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             family, param = CoinFamily(data["family"]), data["parameter"]
             entries = data["matrix"]
             if len(entries) != 9 or any(
@@ -158,7 +158,7 @@ class Coin:
             args = () if param is None else (float(param),)
             coin = cls(m.reshape(3, 3), family, *args)
             named = _NAMED_COINS.get(family, lambda: coin)(*args)
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, OverflowError, RecursionError):
             raise ValueError("coin JSON must be an object with a family, a "
                              "parameter (a number for c1 and c2, else null) "
                              "and 9 [re, im] entries") from None

@@ -12,9 +12,9 @@ theorem the band through the unit eigenvector v of U(k) has slope
 |v_R|^2 - |v_L|^2, so they need neither branch tracking nor differencing.
 A cheaper coarse pass over the grid only locates the extremes: it solves
 the characteristic cubic of U(k) in closed form and differentiates it
-implicitly.  Samples near a band touching, where the cubic is
-ill-conditioned, fall back to the eigenvector slopes, and so does every
-sample whose slope ties with the grid extreme, so the extremes and the
+implicitly.  The samples near a band touching, where the cubic is
+ill-conditioned, and those whose slope ties with the grid extreme then
+take the eigenvector slopes in one pass, so the extremes and the
 refinement that follows are those of the eigenvector slopes alone.
 
 Dispersion tables track branches across the momentum grid by phase
@@ -299,15 +299,15 @@ def _band_slopes(matrix: np.ndarray, ks: np.ndarray):
 def _cubic_slopes(matrix: np.ndarray, ks: np.ndarray):
     """Slopes d omega/dk of the three roots of det(lambda - U(k)) at every k.
 
-    Returns ``(slopes, exact)``: slopes of shape ``(ks.size, 3)`` in no
-    particular band order, and a mask of the samples taken from
-    ``_band_slopes`` instead.  Since det U = d = det C and U is unitary, the
+    Returns ``(slopes, near)``: slopes of shape ``(ks.size, 3)`` in no
+    particular band order, and a mask of the samples whose slopes are not
+    to be trusted.  Since det U = d = det C and U is unitary, the
     characteristic polynomial is p = lambda^3 - a lambda^2 + d conj(a) lambda
     - d with a = tr U(k).  Cardano's formula gives its roots, and implicit
     differentiation gives d lambda/dk = -(dp/dk) / (dp/dlambda), so the slope
     is Re(lambda' / (i lambda)).  A sample where some |dp/dlambda| is below
     ``_CUBIC_GAP`` sits near a band touching, where both steps lose
-    accuracy; it is marked and its slopes come from ``_band_slopes``.
+    accuracy; it is marked, and its slopes are left for the caller to replace.
     """
     em, ep = np.exp(-1j * ks), np.exp(1j * ks)
     a = em * matrix[0, 0] + matrix[1, 1] + ep * matrix[2, 2]
@@ -328,9 +328,7 @@ def _cubic_slopes(matrix: np.ndarray, ks: np.ndarray):
     kp = (d * da.conj()[:, None] - da[:, None] * lam) * lam
     near = np.abs(dp) < _CUBIC_GAP
     slopes = np.real(-kp / (1j * lam * np.where(near, 1.0, dp)))
-    exact = near.any(axis=1)
-    slopes[exact] = _band_slopes(matrix, ks[exact])
-    return slopes, exact
+    return slopes, near.any(axis=1)
 
 
 def _zoom(objective, centers: np.ndarray, half_width: float):
@@ -401,10 +399,10 @@ def peak_velocities_numeric(coin: Coin,
     and k0 is absent.
 
     The grid pass takes the slopes from the characteristic cubic
-    (``_cubic_slopes``), which sends samples near a band touching to the
-    eigenvector slopes.  Every other sample whose largest or smallest slope
-    lies within ``_TIE_MARGIN`` of the grid extreme is then recomputed from
-    eigenvectors too.  The cubic errs by far less than that margin, so the
+    (``_cubic_slopes``).  One eigenvector pass then recomputes the samples
+    it marks as near a band touching, and every sample whose largest or
+    smallest slope lies within ``_TIE_MARGIN`` of that extreme over the
+    unmarked samples.  The cubic errs by far less than that margin, so the
     grid extremes, the first sample attaining each (parity-symmetric coins
     have mirror-image ties) and the results are exactly those of eigenvector
     slopes on the whole grid.  The velocities are good to rounding; k0 only
@@ -412,11 +410,12 @@ def peak_velocities_numeric(coin: Coin,
     slope is flat to second order at its maximum (see ``_zoom``).
     """
     ks = _grid(n_samples, "velocity grid")
-    slopes, exact = _cubic_slopes(coin.matrix, ks)
+    slopes, near = _cubic_slopes(coin.matrix, ks)
     top, bottom = slopes.max(axis=1), slopes.min(axis=1)
-    ties = ~exact & ((top >= top.max() - _TIE_MARGIN)
-                     | (bottom <= bottom.min() + _TIE_MARGIN))
-    slopes[ties] = _band_slopes(coin.matrix, ks[ties])
+    # Slopes lie in [-1, 1], so +-2 stand for "no unmarked sample".
+    exact = near | (top >= top.max(where=~near, initial=-2.0) - _TIE_MARGIN)
+    exact |= bottom <= bottom.min(where=~near, initial=2.0) + _TIE_MARGIN
+    slopes[exact] = _band_slopes(coin.matrix, ks[exact])
     if np.max(np.abs(slopes)) < FLAT_BAND_TOL:
         return PeakVelocityResult(0.0, 0.0, None)
     sign = np.array([1.0, -1.0])[:, None, None]

@@ -21,7 +21,6 @@ __all__ = [
     "WalkState",
     "ProbabilityDistribution",
     "initial_state",
-    "step",
     "evolve",
     "probability_distribution",
     "peak_positions",
@@ -124,11 +123,6 @@ def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):
         buf[2, lo + 1:hi + 1] = prod[:, 2]  # R moves to m + 1
         buf[0, hi - 1] = buf[2, lo] = 0
         yield buf
-
-
-def step(state: WalkState, coin: Coin) -> WalkState:
-    """Advance one step: coin on every site, then the conditional shift."""
-    return evolve(state, coin, 1)
 
 
 def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:

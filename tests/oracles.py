@@ -2,12 +2,28 @@
 
 Nothing here may call into the package's evolution or spectral code paths;
 the point is that these computations can disagree with the implementation
-under test.
+under test.  The seeded random coins and states that the test modules share
+live here too, so that no test module imports another for its inputs.
 """
 
 import math
 
 import numpy as np
+
+
+def haar_unitary(seed: int) -> np.ndarray:
+    """A Haar-random 3x3 unitary, seeded."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q, r = np.linalg.qr(z)
+    return q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
+
+
+def random_state(seed: int) -> np.ndarray:
+    """A random unit coin state, seeded."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    return psi / np.linalg.norm(psi)
 
 
 def propagators(matrix: np.ndarray, ks) -> np.ndarray:

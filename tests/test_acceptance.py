@@ -32,7 +32,6 @@ from triwalk.walk import (
     initial_state,
     peak_positions,
     probability_distribution,
-    step,
 )
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
@@ -129,7 +128,7 @@ def test_criterion_6_unitarity_and_conservation():
     for coin in coins:
         state = initial_state(PSI_SYM)
         for t in range(1, 1001):
-            state = step(state, coin)
+            state = evolve(state, coin, 1)
             worst = max(worst, abs(state.norm_squared() - 1.0))
             assert state.amplitudes.shape == (2 * t + 1, 3)
         assert np.array_equal(state.site_amplitudes(state.time + 1),

@@ -368,15 +368,19 @@ class TestLocalize:
     ["localize", "--steps", "200", "--grid", "256"],
 ], ids=["simulate", "localize"])
 def test_walks_without_per_step_states(tmp_path, monkeypatch, command):
-    # Both commands step one preallocated buffer; none builds a WalkState per
-    # step through walk.step.
-    def no_step(*args):
-        raise AssertionError("walk.step ran")
+    # Both commands step one preallocated buffer: they build the initial
+    # WalkState and at most a final one, never one per step.
+    built = []
+    post_init = walk.WalkState.__post_init__
 
-    monkeypatch.setattr(walk, "step", no_step)
-    monkeypatch.setattr(localization, "step", no_step, raising=False)
+    def counted(state):
+        built.append(state.time)
+        post_init(state)
+
+    monkeypatch.setattr(walk.WalkState, "__post_init__", counted)
     assert main([*command, "--out", str(tmp_path / "out.json"),
                  "--format", "json"]) == 0
+    assert built and len(built) <= 2
 
 
 class TestErrorPaths:
@@ -459,13 +463,22 @@ class TestErrorPaths:
         # The constructor's range check is reported as it is.
         ({"family": "c2", "parameter": 2, "matrix": GROVER_ENTRIES},
          "rho must lie in [0, 1]"),
+        # Integers too large for a double, and nesting deeper than the
+        # parser's recursion limit (given as raw text).
+        ({"family": "custom", "parameter": None,
+          "matrix": [[10 ** 400, 0]] + GROVER_ENTRIES[1:]}, SCHEMA),
+        ({"family": "c1", "parameter": 10 ** 400, "matrix": GROVER_ENTRIES},
+         SCHEMA),
+        ("[" * 200000 + "]" * 200000, SCHEMA),
     ], ids=["missing-key", "not-an-object", "c1-without-parameter",
             "c2-label-mismatch", "custom-with-parameter", "two-entries",
-            "nine-triples", "boolean-entries", "c2-out-of-range"])
+            "nine-triples", "boolean-entries", "c2-out-of-range",
+            "huge-entry", "huge-parameter", "deep-nesting"])
     def test_malformed_coin_file_exit_2(self, tmp_path, capsys, record,
                                         message):
         path = tmp_path / "coin.json"
-        path.write_text(json.dumps(record))
+        path.write_text(record if isinstance(record, str)
+                        else json.dumps(record))
         out = tmp_path / "x.csv"
         code = main(["simulate", "--coin", f"matrix:{path}", "--steps", "3",
                      "--grid", "512", "--out", str(out)])

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import triwalk.localization as localization
-from oracles import dispersion_analytic, flat_band_trapped_probability
-from test_properties import random_state
+from oracles import (dispersion_analytic, flat_band_trapped_probability,
+                     random_state)
 from triwalk.coins import (
     coin_c1,
     coin_c2,

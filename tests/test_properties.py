@@ -24,22 +24,11 @@ from triwalk.coins import (
 )
 from triwalk.localization import origin_series
 from triwalk.spectral import _band_slopes, _cubic_slopes, peak_velocities_numeric
-from triwalk.walk import evolve, initial_state, probability_distribution, step
+from triwalk.walk import evolve, initial_state, probability_distribution
 
-from oracles import hf_velocity_range
-
-
-def haar_unitary(seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(z)
-    return q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
-
-
-def random_state(seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    return psi / np.linalg.norm(psi)
+from oracles import haar_unitary, hf_velocity_range, random_state
+from test_spectral import assert_tracks_like_loop
+from test_walk import allocating_evolve, allocating_origin_series
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -70,9 +59,6 @@ def test_custom_coin_respects_light_cone(seed):
 @settings(max_examples=25, deadline=None)
 @given(seeds, st.integers(min_value=16, max_value=128))
 def test_branch_tracking_matches_loop(seed, n):
-    # test_spectral imports this module, so its helper is imported here.
-    from test_spectral import assert_tracks_like_loop
-
     assert_tracks_like_loop(Coin(haar_unitary(seed)), n)
 
 
@@ -91,23 +77,26 @@ GRID = np.arange(4096) * (2 * math.pi / 4096)
 @settings(max_examples=20, deadline=None)
 @given(seeds)
 def test_cubic_slope_extremes_match_eigenvectors(seed):
+    # Over the samples the cubic does not flag; the flagged ones carry no
+    # slopes to compare.
     matrix = haar_unitary(seed)
-    slopes, _ = _cubic_slopes(matrix, GRID)
+    slopes, near = _cubic_slopes(matrix, GRID)
     reference = _band_slopes(matrix, GRID)
-    assert abs(slopes.max() - reference.max()) < 1e-9
-    assert abs(slopes.min() - reference.min()) < 1e-9
+    assert abs(slopes[~near].max() - reference[~near].max()) < 1e-9
+    assert abs(slopes[~near].min() - reference[~near].min()) < 1e-9
 
 
 @pytest.mark.parametrize("matrix", [permutation_coin().matrix,
                                     coin_c2(0.0).matrix,
                                     coin_c1(math.pi / 2).matrix])
 def test_cubic_falls_back_on_degenerate_coins(matrix):
-    # Two eigenvalues of U(k) coincide at every k: no sample uses the cubic.
+    # Two eigenvalues of U(k) coincide at every k: the cubic flags every
+    # sample, so all of them take the eigenvector slopes (TestCubicCoarsePass
+    # checks the velocities those give).
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        slopes, exact = _cubic_slopes(matrix, GRID)
-    assert exact.all()
-    assert np.array_equal(slopes, _band_slopes(matrix, GRID))
+        _, near = _cubic_slopes(matrix, GRID)
+    assert near.all()
 
 
 def test_cubic_triple_root_falls_back():
@@ -115,11 +104,11 @@ def test_cubic_triple_root_falls_back():
     # Cardano's cube root vanishes.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        slopes, exact = _cubic_slopes(np.eye(3), GRID)
-    assert exact[0]
+        slopes, near = _cubic_slopes(np.eye(3), GRID)
+    assert near[0]
     reference = _band_slopes(np.eye(3), GRID)
-    assert abs(slopes.max() - reference.max()) < 1e-9
-    assert abs(slopes.min() - reference.min()) < 1e-9
+    assert abs(slopes[~near].max() - reference[~near].max()) < 1e-9
+    assert abs(slopes[~near].min() - reference[~near].min()) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -149,8 +138,6 @@ def test_evolution_preserves_norm_and_support(coin_seed, state_seed, t):
 @settings(max_examples=20, deadline=None)
 @given(seeds, seeds, st.integers(min_value=0, max_value=300))
 def test_walk_kernel_matches_allocating_steps(coin_seed, state_seed, t):
-    # test_walk imports this module, so its helpers are imported here.
-    from test_walk import allocating_evolve, allocating_origin_series
     coin = Coin(haar_unitary(coin_seed))
     psi = random_state(state_seed)
     state = initial_state(psi)
@@ -198,6 +185,6 @@ def test_parity_symmetric_walks(family, param, a, b, t):
         norm = math.sqrt(2.0)
     state = initial_state(psi / norm)
     for _ in range(t):
-        state = step(state, coin)
+        state = evolve(state, coin, 1)
     p = probability_distribution(state).probabilities
     assert np.max(np.abs(p - p[::-1])) < 1e-12

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import triwalk.spectral as spectral
-from oracles import dispersion_analytic, propagators
+from oracles import dispersion_analytic, haar_unitary, propagators
 from triwalk.coins import (Coin, coin_c1, coin_c2, fourier_coin, grover_coin,
                            permutation_coin)
 from triwalk.spectral import (
@@ -23,7 +23,6 @@ from triwalk.spectral import (
 )
 from triwalk.walk import evolve, initial_state, peak_positions, probability_distribution
 
-from test_properties import haar_unitary
 
 V_GROVER = 1.0 / math.sqrt(3.0)
 
@@ -397,13 +396,42 @@ class TestCubicCoarsePass:
              "c1:0.6": coin_c1(0.6), "c1:2.0": coin_c1(2.0),
              "c1:pi/2": coin_c1(math.pi / 2), "c2:0": coin_c2(0.0),
              "c2:1-1e-9": coin_c2(1.0 - 1e-9), "c2:1": coin_c2(1.0),
-             "haar0": Coin(haar_unitary(0)), "haar7": Coin(haar_unitary(7))}
+             "haar0": Coin(haar_unitary(0)), "haar7": Coin(haar_unitary(7)),
+             # A triple root at k = 0, and the edges of both families.
+             "identity": Coin(np.eye(3)),
+             "c1:pi/2-1e-9": coin_c1(math.pi / 2 - 1e-9),
+             "c2:1e-9": coin_c2(1e-9)}
 
-    @pytest.mark.parametrize("n", [16, 128, 512, 4096])
+    @pytest.mark.parametrize("n", [16, 17, 128, 256, 512, 1000, 4096])
     @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
     def test_matches_eigenvector_search(self, coin, n):
         res = peak_velocities_numeric(coin, n)
         assert (res.v_left, res.v_right, res.k0) == eigenvector_peak_search(coin, n)
+
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_cubic_calls_no_eigensolver(self, coin, monkeypatch):
+        def no_eigensolve(*args):
+            raise AssertionError("_band_slopes ran")
+
+        monkeypatch.setattr(spectral, "_band_slopes", no_eigensolve)
+        ks = np.arange(512) * (2 * math.pi / 512)
+        spectral._cubic_slopes(coin.matrix, ks)
+
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_one_eigenvector_pass_on_the_grid(self, coin, monkeypatch):
+        # The grid pass solves once, over a 1-D set of samples; the zoom's
+        # calls take 2-D arrays of k.
+        grid_calls = []
+        band_slopes = spectral._band_slopes
+
+        def counted(matrix, ks):
+            if ks.ndim == 1:
+                grid_calls.append(ks.size)
+            return band_slopes(matrix, ks)
+
+        monkeypatch.setattr(spectral, "_band_slopes", counted)
+        peak_velocities_numeric(coin, 512)
+        assert len(grid_calls) == 1
 
     def test_mirror_tie_keeps_first_sample(self):
         # c1(0.6) attains its grid maximum at mirror-image samples; the first

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import dense_evolve, fft_evolve
-from test_properties import haar_unitary, random_state
+from oracles import dense_evolve, fft_evolve, haar_unitary, random_state
 from triwalk.coins import (
     Coin,
     coin_c1,
@@ -26,7 +25,6 @@ from triwalk.walk import (
     initial_state,
     peak_positions,
     probability_distribution,
-    step,
 )
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
@@ -59,15 +57,15 @@ class TestInitialState:
 
 class TestStep:
     def test_permutation_fixes_stay_component(self):
-        state = step(initial_state(np.array([0.0, 1.0, 0.0])),
-                     permutation_coin())
+        state = evolve(initial_state(np.array([0.0, 1.0, 0.0])),
+                       permutation_coin(), 1)
         assert state.time == 1
         assert_allclose(state.site_amplitudes(0), [0, 1, 0], atol=1e-15)
         assert_allclose(state.site_amplitudes(1), 0, atol=1e-15)
         assert_allclose(state.site_amplitudes(-1), 0, atol=1e-15)
 
     def test_transmitting_coin_splits_ballistically(self):
-        state = step(initial_state(PSI_LR), transmitting_coin())
+        state = evolve(initial_state(PSI_LR), transmitting_coin(), 1)
         assert_allclose(state.site_amplitudes(-1),
                         [-1 / math.sqrt(2), 0, 0], atol=1e-15)
         assert_allclose(state.site_amplitudes(1),
@@ -76,12 +74,12 @@ class TestStep:
 
     def test_grover_left_amplitude(self):
         # First row of the coin on (1,-1,1)/sqrt(3): (-1-2+2)/(3 sqrt(3))
-        state = step(initial_state(PSI_SYM), grover_coin())
+        state = evolve(initial_state(PSI_SYM), grover_coin(), 1)
         assert abs(state.site_amplitudes(-1)[0] - (-1 / (3 * math.sqrt(3)))) \
             < 1e-15
 
     def test_norm_preserved(self):
-        state = step(initial_state(PSI_SYM), grover_coin())
+        state = evolve(initial_state(PSI_SYM), grover_coin(), 1)
         assert abs(state.norm_squared() - 1.0) < 1e-14
 
 
@@ -249,7 +247,7 @@ class TestInPlaceBuffer:
 
     def test_step_is_one_evolve_step(self):
         state = evolve(initial_state(PSI_SYM), coin_c1(0.6), 4)
-        assert np.array_equal(step(state, coin_c1(0.6)).amplitudes,
+        assert np.array_equal(evolve(state, coin_c1(0.6), 1).amplitudes,
                               allocating_step(state, coin_c1(0.6)).amplitudes)
 
     def test_input_untouched_and_result_frozen(self):
@@ -344,7 +342,7 @@ class TestProbabilityDistribution:
     def test_norm_conserved_200_steps(self, coin):
         state = initial_state(PSI_SYM)
         for _ in range(200):
-            state = step(state, coin)
+            state = evolve(state, coin, 1)
             assert abs(state.norm_squared() - 1.0) < 1e-12
 
     def test_csv_export(self):

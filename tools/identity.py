@@ -3,9 +3,11 @@
 Runs one fixed list of ``triwalk`` invocations in process through
 ``triwalk.cli.main``, catching argparse's ``SystemExit``, and records for
 each the exit code and the SHA-256 of its stdout, its stderr and its
-``--out`` file.  The work directory and the ``--src`` path are replaced by
-``<work>`` and ``<src>`` before hashing, so manifests written from two
-source trees compare.  Digests depend on the machine and its BLAS build:
+``--out`` file.  An invocation that raises any other exception is recorded
+with the exit ``"raised <type>"``, so a crash in one tree shows as a
+difference instead of ending the run.  The work directory and the
+``--src`` path are replaced by ``<work>`` and ``<src>`` before hashing, so
+manifests written from two source trees compare.  Digests depend on the machine and its BLAS build:
 compare only manifests written on one machine, and commit none.
 
     python tools/identity.py --src PARENT/src --write old.json
@@ -64,6 +66,10 @@ MALFORMED = (
     {"family": "custom", "parameter": None,
      "matrix": [[x == 1, False] for x in (0, 0, 1, 0, 1, 0, 1, 0, 0)]},
     {"family": "c2", "parameter": 2, "matrix": GROVER_ENTRIES},
+    {"family": "custom", "parameter": None,
+     "matrix": [[10 ** 400, 0]] + GROVER_ENTRIES[1:]},
+    {"family": "c1", "parameter": 10 ** 400, "matrix": GROVER_ENTRIES},
+    "[" * 200000 + "]" * 200000,  # raw text, nested past the recursion limit
 )
 
 BAD_SPECS = ("c1", "c1:", "c1:x", "c3:0.5", "pi:", "matrix", "matrix:",
@@ -107,7 +113,8 @@ def write_inputs(work: Path) -> None:
     (work / "haar.json").write_text(json.dumps(
         {"family": "custom", "parameter": None, "matrix": entries}))
     for i, record in enumerate(MALFORMED):
-        (work / f"malformed{i}.json").write_text(json.dumps(record))
+        (work / f"malformed{i}.json").write_text(
+            record if isinstance(record, str) else json.dumps(record))
 
 
 def _digest(text: str | bytes) -> str:
@@ -142,6 +149,8 @@ def run_all(src: Path) -> dict[str, dict]:
                     code = cli.main([a.replace(WORK, tmp) for a in argv])
                 except SystemExit as exc:
                     code = exc.code
+                except Exception as exc:
+                    code = f"raised {type(exc).__name__}"
             out_file = work / "out"
             manifest[" ".join(("triwalk", *argv))] = {
                 "exit": code,
