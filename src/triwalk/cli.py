@@ -33,6 +33,7 @@ from .localization import localization_report
 from .spectral import (
     DEFAULT_GRID,
     BranchTrackingError,
+    _peak_velocities,
     dispersion_numeric,
     linear_approx_deviation,
     peak_velocities_numeric,
@@ -175,15 +176,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
     make_coin, top = _FAMILIES[args.family]
-
-    def run_point(p: float) -> tuple[float, float, float, float]:
-        coin = make_coin(p)
-        v_num = peak_velocities_numeric(coin, args.grid).v_right
+    params = np.linspace(0.0, top, args.points)
+    coins = [make_coin(p) for p in params]
+    # One zoom refines every point, with the bits of one call per point.
+    results = _peak_velocities(np.array([c.matrix for c in coins]), args.grid)
+    rows = []
+    for p, coin, result in zip(params, coins, results):
         v_ana = _analytic_velocity(coin)
         dev = linear_approx_deviation(p) if args.family == "c1" else v_ana - p
-        return (p, v_ana, v_num, dev)
-
-    rows = [run_point(p) for p in np.linspace(0.0, top, args.points)]
+        rows.append((p, v_ana, result.v_right, dev))
 
     keys = ("parameter", "v_analytic", "v_numeric", "deviation_from_linear")
     _write_text(args.out, _csv_text(",".join(keys), *zip(*rows))

@@ -72,6 +72,8 @@ _CUBIC_GAP = 1e-3
 # Cubic slopes this close to a grid extreme are recomputed from eigenvectors;
 # the cubic is off by at most about 2e-10, so every tie is caught.
 _TIE_MARGIN = 1e-8
+# Coins whose centres one zoom refines together; bounds the zoom's arrays.
+_ZOOM_BLOCK = 128
 
 
 class BranchTrackingError(Exception):
@@ -91,12 +93,16 @@ def _grid(n_samples, what: str) -> np.ndarray:
 
 
 def _propagator_batch(matrix: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """U(k) = diag(exp(-ik), 1, exp(ik)) . C at every k, shape (ks.size, 3, 3)."""
-    phase = np.empty((ks.size, 3), dtype=np.complex128)
-    phase[:, 0] = np.exp(-1j * ks)
-    phase[:, 1] = 1.0
-    phase[:, 2] = np.exp(1j * ks)
-    return phase[:, :, None] * matrix[None, :, :]
+    """U(k) = diag(exp(-ik), 1, exp(ik)) . C at every k, shape ks.shape + (3, 3).
+
+    ``matrix`` is one coin (3, 3) or a stack (..., 3, 3) that broadcasts
+    against ``ks``.
+    """
+    phase = np.empty(ks.shape + (3,), dtype=np.complex128)
+    phase[..., 0] = np.exp(-1j * ks)
+    phase[..., 1] = 1.0
+    phase[..., 2] = np.exp(1j * ks)
+    return phase[..., :, None] * matrix
 
 
 @dataclass(frozen=True)
@@ -284,16 +290,17 @@ def group_velocity(table: DispersionTable) -> np.ndarray:
 def _band_slopes(matrix: np.ndarray, ks: np.ndarray):
     """Exact slopes d omega/dk of the three eigenpairs of U(k) at every k.
 
-    The result has shape ``ks.shape + (3,)``.  Since dU/dk =
-    i diag(-1, 0, 1) U, the Hellmann-Feynman theorem gives the slope of the
-    band through the unit eigenvector v as |v_R|^2 - |v_L|^2, which lies in
-    [-1, 1].  At a degenerate point any basis of the eigenspace gives values
-    between the one-sided slopes of the bands that meet there, so extrema
-    taken over samples never overshoot.
+    The result has shape ``ks.shape + (3,)``; ``matrix`` may be a stack of
+    coins that broadcasts against ``ks`` (see ``_propagator_batch``).  Since
+    dU/dk = i diag(-1, 0, 1) U, the Hellmann-Feynman theorem gives the slope
+    of the band through the unit eigenvector v as |v_R|^2 - |v_L|^2, which
+    lies in [-1, 1].  At a degenerate point any basis of the eigenspace gives
+    values between the one-sided slopes of the bands that meet there, so
+    extrema taken over samples never overshoot.
     """
-    _, vec = _unitary_eig(_propagator_batch(matrix, ks.ravel()))
+    _, vec = _unitary_eig(_propagator_batch(matrix, ks))
     weight = np.abs(vec) ** 2
-    return (weight[:, 2, :] - weight[:, 0, :]).reshape(ks.shape + (3,))
+    return weight[..., 2, :] - weight[..., 0, :]
 
 
 def _cubic_slopes(matrix: np.ndarray, ks: np.ndarray):
@@ -331,27 +338,40 @@ def _cubic_slopes(matrix: np.ndarray, ks: np.ndarray):
     return slopes, near.any(axis=1)
 
 
+def _extremes(slopes: np.ndarray):
+    """The largest and the smallest of each row of an (n, 3) slope array.
+
+    Two elementwise passes over the columns; numpy's reductions along a
+    length-3 axis take about ten times as long, for the same values.
+    """
+    s0, s1, s2 = slopes.T
+    return np.maximum(np.maximum(s0, s1), s2), np.minimum(np.minimum(s0, s1), s2)
+
+
 def _zoom(objective, centers: np.ndarray, half_width: float):
     """Maximize ``objective`` near each of ``centers`` by shrinking brackets.
 
-    ``objective`` maps a (len(centers), 9) array of k to values.  Each pass
-    samples [c - w, c + w] at nine points, recentres on the best sample and
-    quarters w, so the new bracket still holds both neighbours of the best
-    sample; the centre itself is resampled, so the best value never drops.
-    Returns the final centres and their values.  The values are good to
-    rounding, but a centre only to about the square root of the rounding in
-    the values (measured 4-5e-8 rad), however narrow the final bracket: near
-    a maximum the objective is flat to second order.
+    ``centers`` may have any shape; ``objective`` maps an array of k of
+    shape ``centers.shape + (9,)`` to values.  Each pass samples
+    [c - w, c + w] at nine points, recentres on the best sample and quarters
+    w, so the new bracket still holds both neighbours of the best sample; the
+    centre itself is resampled, so the best value never drops.  Returns the
+    final centres and their values, each of the shape of ``centers``.  Every
+    centre takes the same passes, so a batch of centres gives each the bits
+    it gets alone.  The values are good to rounding, but a centre only to
+    about the square root of the rounding in the values (measured 4-5e-8
+    rad), however narrow the final bracket: near a maximum the objective is
+    flat to second order.
     """
     offsets = np.linspace(-1.0, 1.0, 9)
     c = np.asarray(centers, dtype=float)
     while True:
-        ks = c[:, None] + half_width * offsets
+        ks = c[..., None] + half_width * offsets
         values = objective(ks)
-        best = np.argmax(values, axis=1)[:, None]
-        c = np.take_along_axis(ks, best, axis=1)[:, 0]
+        best = np.argmax(values, axis=-1)[..., None]
+        c = np.take_along_axis(ks, best, axis=-1)[..., 0]
         if half_width < _ZOOM_RESOLUTION:
-            return c, np.take_along_axis(values, best, axis=1)[:, 0]
+            return c, np.take_along_axis(values, best, axis=-1)[..., 0]
         half_width /= 4.0
 
 
@@ -409,24 +429,46 @@ def peak_velocities_numeric(coin: Coin,
     to about 1e-7 rad, although it is printed with 17 digits, because the
     slope is flat to second order at its maximum (see ``_zoom``).
     """
+    return _peak_velocities(coin.matrix[None], n_samples)[0]
+
+
+def _peak_velocities(matrices: np.ndarray,
+                     n_samples: int) -> list[PeakVelocityResult]:
+    """``peak_velocities_numeric`` for every coin of a (P, 3, 3) stack.
+
+    Each coin takes its own grid pass, which keeps only the two grid samples
+    the zoom starts from.  One ``_zoom`` then refines the centres of every
+    coin that is not flat, ``_ZOOM_BLOCK`` coins at a time, so the arrays of
+    a pass stay the same size however many coins there are.  Each 3x3 is
+    still solved on its own, so every result has the bits of a call per coin.
+    """
     ks = _grid(n_samples, "velocity grid")
-    slopes, near = _cubic_slopes(coin.matrix, ks)
-    top, bottom = slopes.max(axis=1), slopes.min(axis=1)
-    # Slopes lie in [-1, 1], so +-2 stand for "no unmarked sample".
-    exact = near | (top >= top.max(where=~near, initial=-2.0) - _TIE_MARGIN)
-    exact |= bottom <= bottom.min(where=~near, initial=2.0) + _TIE_MARGIN
-    slopes[exact] = _band_slopes(coin.matrix, ks[exact])
-    if np.max(np.abs(slopes)) < FLAT_BAND_TOL:
-        return PeakVelocityResult(0.0, 0.0, None)
+    centers = np.zeros((len(matrices), 2))
+    live = np.zeros(len(matrices), dtype=bool)
+    for i, matrix in enumerate(matrices):
+        slopes, near = _cubic_slopes(matrix, ks)
+        top, bottom = _extremes(slopes)
+        # Slopes lie in [-1, 1], so +-2 stand for "no unmarked sample".
+        exact = near | (top >= top.max(where=~near, initial=-2.0) - _TIE_MARGIN)
+        exact |= bottom <= bottom.min(where=~near, initial=2.0) + _TIE_MARGIN
+        top[exact], bottom[exact] = _extremes(_band_slopes(matrix, ks[exact]))
+        if max(top.max(), -bottom.min()) >= FLAT_BAND_TOL:
+            live[i] = True
+            centers[i] = ks[[np.argmax(top), np.argmin(bottom)]]
     sign = np.array([1.0, -1.0])[:, None, None]
-    centers = ks[[np.argmax(slopes.max(axis=1)), np.argmin(slopes.min(axis=1))]]
-    k, v = _zoom(
-        lambda kk: (sign * _band_slopes(coin.matrix, kk)).max(axis=-1),
-        centers, _TWO_PI / ks.size,
-    )
-    k0 = float(k[0]) % _TWO_PI
-    k0 = min(k0, _TWO_PI - k0) if ks.size >= 256 else None
-    return PeakVelocityResult(-float(v[1]), float(v[0]), k0)
+    results = [PeakVelocityResult(0.0, 0.0, None)] * len(matrices)
+    index = np.flatnonzero(live)
+    for start in range(0, index.size, _ZOOM_BLOCK):
+        block = index[start:start + _ZOOM_BLOCK]
+        stack = matrices[block][:, None, None]
+        k, v = _zoom(lambda kk: (sign * _band_slopes(stack, kk)).max(axis=-1),
+                     centers[block], _TWO_PI / ks.size)
+        for i, (k_right, _), (v_right, minus_v_left) in zip(block, k, v):
+            k0 = float(k_right) % _TWO_PI
+            k0 = min(k0, _TWO_PI - k0) if ks.size >= 256 else None
+            results[i] = PeakVelocityResult(-float(minus_v_left),
+                                            float(v_right), k0)
+    return results
 
 
 def peak_velocity_c1(phi: float) -> float:

@@ -13,6 +13,7 @@ import pytest
 
 import triwalk.cli as cli
 import triwalk.localization as localization
+import triwalk.spectral as spectral
 import triwalk.walk as walk
 from triwalk.cli import build_parser, main, parse_coin, parse_state
 from triwalk.coins import Coin, CoinFamily, coin_c2, fourier_coin, grover_coin
@@ -324,6 +325,20 @@ class TestSweep:
             for p in np.linspace(0.0, 1.0, 5)
         ]
 
+    def test_one_zoom_for_every_point(self, tmp_path, monkeypatch):
+        # The 49 points that spread (c1(pi/2) is flat) share one zoom.
+        calls = []
+        zoom = spectral._zoom
+
+        def counted(objective, centers, half_width):
+            calls.append(centers.shape)
+            return zoom(objective, centers, half_width)
+
+        monkeypatch.setattr(spectral, "_zoom", counted)
+        assert main(["sweep", "--family", "c1", "--points", "50", "--grid",
+                     "256", "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert calls == [(49, 2)]
+
     def test_unknown_family_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--family", "c3", "--out", str(tmp_path / "s.csv")])
@@ -624,8 +639,8 @@ class TestOutputBytes:
     def test_sweep(self, tmp_path, monkeypatch):
         # c2 at rho = 0 and 1: the analytic velocity is rho, the deviation 0.
         result = PeakVelocityResult(-0.1, 0.1, None)
-        monkeypatch.setattr(cli, "peak_velocities_numeric",
-                            lambda coin, grid: result)
+        monkeypatch.setattr(cli, "_peak_velocities",
+                            lambda matrices, grid: [result] * len(matrices))
         for fmt in ("csv", "json"):
             assert main(["sweep", "--family", "c2", "--points", "2",
                          "--format", fmt, "--out", str(tmp_path / fmt)]) == 0

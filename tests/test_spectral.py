@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,86 @@ class TestCubicCoarsePass:
         # c1(0.6) attains its grid maximum at mirror-image samples; the first
         # one sets k0.
         assert peak_velocities_numeric(coin_c1(0.6)).k0 == 1.307777166922583
+
+
+def bits(results):
+    """v_left, v_right and k0 (NaN for None) of each result, as int64 views."""
+    return [np.array([r[0], r[1], np.nan if r[2] is None else r[2]])
+            .view(np.int64).tolist() for r in results]
+
+
+class TestBatchedPeakSearch:
+    # One zoom over a stack of coins gives each coin the bits of its own
+    # search.
+    MIXED = {"grover": grover_coin(), "pi": permutation_coin(),
+             "c1:0.6": coin_c1(0.6), "c1:pi/2": coin_c1(math.pi / 2),
+             "c2:0": coin_c2(0.0), "c2:1": coin_c2(1.0),
+             "identity": Coin(np.eye(3)), "haar0": Coin(haar_unitary(0)),
+             "haar7": Coin(haar_unitary(7))}
+
+    @staticmethod
+    def batch(coins, n):
+        results = spectral._peak_velocities(
+            np.array([c.matrix for c in coins]), n)
+        return bits((r.v_left, r.v_right, r.k0) for r in results)
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 4096])
+    def test_mixed_stack_matches_each_coin(self, n):
+        coins = list(self.MIXED.values())
+        assert self.batch(coins, n) == bits(
+            eigenvector_peak_search(c, n) for c in coins)
+
+    def test_extremes_match_row_reductions(self):
+        rng = np.random.default_rng(5)
+        slopes = rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0], size=(512, 3))
+        slopes = np.vstack([slopes, rng.uniform(-1, 1, size=(512, 3))])
+        top, bottom = spectral._extremes(slopes)
+        assert np.array_equal(top, slopes.max(axis=1))
+        assert np.array_equal(bottom, slopes.min(axis=1))
+
+    def test_all_flat_stack_runs_no_zoom(self, monkeypatch):
+        def no_zoom(*args):
+            raise AssertionError("_zoom ran")
+
+        monkeypatch.setattr(spectral, "_zoom", no_zoom)
+        coins = [coin_c1(math.pi / 2), coin_c2(0.0), permutation_coin()]
+        assert spectral._peak_velocities(
+            np.array([c.matrix for c in coins]), 256) == [
+                PeakVelocityResult(0.0, 0.0, None)] * 3
+
+    def test_stack_larger_than_one_block(self, monkeypatch):
+        blocks = []
+        zoom = spectral._zoom
+
+        def counted(objective, centers, half_width):
+            blocks.append(len(centers))
+            return zoom(objective, centers, half_width)
+
+        monkeypatch.setattr(spectral, "_zoom", counted)
+        coins = [coin_c2(rho) for rho in
+                 np.linspace(0.0, 1.0, spectral._ZOOM_BLOCK + 3)]
+        coins += [Coin(haar_unitary(seed)) for seed in range(3)]
+        got = self.batch(coins, 17)
+        # c2(0) is flat and takes no part in the zoom.
+        assert blocks == [spectral._ZOOM_BLOCK, 5]
+        assert got == bits(eigenvector_peak_search(c, 17) for c in coins)
+
+    def test_memory_bounded_by_the_block(self):
+        # Four blocks of coins peak no higher than one: the zoom's arrays
+        # hold one block at a time.
+        stack = np.array([coin_c2(rho).matrix for rho in
+                          np.linspace(0.05, 0.95, 4 * spectral._ZOOM_BLOCK)])
+
+        def traced_peak(matrices):
+            tracemalloc.start()
+            try:
+                spectral._peak_velocities(matrices, 256)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = traced_peak(stack[:spectral._ZOOM_BLOCK])
+        assert traced_peak(stack) <= 1.25 * one
 
 
 class TestVelocityFormulas:

@@ -84,6 +84,14 @@ def invocations() -> list[tuple[str, ...]]:
         ("sweep", "--family", "c1", "--points", "12", "--out", OUT),
         ("sweep", "--family", "c2", "--points", "6", "--format", "json",
          "--out", OUT),
+        # The benchmark's two sweeps; a flat endpoint on an odd grid; more
+        # points than one zoom block.
+        ("sweep", "--family", "c1", "--points", "50", "--out", OUT),
+        ("sweep", "--family", "c2", "--points", "6", "--out", OUT),
+        ("sweep", "--family", "c1", "--points", "2", "--grid", "17",
+         "--out", OUT),
+        ("sweep", "--family", "c2", "--points", "300", "--grid", "64",
+         "--out", OUT),
         ("sweep", "--family", "c3", "--out", OUT),
         ("simulate", "--steps", "4000", "--out", OUT),
         ("localize", "--steps", "4000", "--out", OUT),
