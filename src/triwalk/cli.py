@@ -178,8 +178,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     make_coin, top = _FAMILIES[args.family]
     params = np.linspace(0.0, top, args.points)
     coins = [make_coin(p) for p in params]
-    # One zoom refines every point, with the bits of one call per point.
-    results = _peak_velocities(np.array([c.matrix for c in coins]), args.grid)
+    # One zoom refines v_right (the one velocity printed) at every point,
+    # with the bits of one call per point.
+    results = _peak_velocities(np.array([c.matrix for c in coins]), args.grid,
+                               left=False)
     rows = []
     for p, coin, result in zip(params, coins, results):
         v_ana = _analytic_velocity(coin)

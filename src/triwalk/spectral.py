@@ -15,7 +15,11 @@ the characteristic cubic of U(k) in closed form and differentiates it
 implicitly.  The samples near a band touching, where the cubic is
 ill-conditioned, and those whose slope ties with the grid extreme then
 take the eigenvector slopes in one pass, so the extremes and the
-refinement that follows are those of the eigenvector slopes alone.
+refinement that follows are those of the eigenvector slopes alone.  A coin
+whose bands the cubic finds all flat is first offered a closed-form bound
+on every band's slope, built from the spectral projector of its best
+separated eigenvalue; the flat endpoints of both families pass it and
+need no eigensolve at all.
 
 Dispersion tables track branches across the momentum grid by phase
 continuation against a linear prediction (unwrapped, so a branch may wind
@@ -72,6 +76,8 @@ _CUBIC_GAP = 1e-3
 # Cubic slopes this close to a grid extreme are recomputed from eigenvectors;
 # the cubic is off by at most about 2e-10, so every tie is caught.
 _TIE_MARGIN = 1e-8
+# The cube roots of unity.
+_UNITY = np.exp(_TWO_PI / 3.0 * 1j * np.arange(3))
 # Coins whose centres one zoom refines together; bounds the zoom's arrays.
 _ZOOM_BLOCK = 128
 
@@ -303,39 +309,127 @@ def _band_slopes(matrix: np.ndarray, ks: np.ndarray):
     return weight[..., 2, :] - weight[..., 0, :]
 
 
-def _cubic_slopes(matrix: np.ndarray, ks: np.ndarray):
-    """Slopes d omega/dk of the three roots of det(lambda - U(k)) at every k.
+def _cubic_roots(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
+    """Roots of the characteristic cubic of U(k) and dp/dlambda at them.
 
-    Returns ``(slopes, near)``: slopes of shape ``(ks.size, 3)`` in no
-    particular band order, and a mask of the samples whose slopes are not
-    to be trusted.  Since det U = d = det C and U is unitary, the
-    characteristic polynomial is p = lambda^3 - a lambda^2 + d conj(a) lambda
-    - d with a = tr U(k).  Cardano's formula gives its roots, and implicit
-    differentiation gives d lambda/dk = -(dp/dk) / (dp/dlambda), so the slope
-    is Re(lambda' / (i lambda)).  A sample where some |dp/dlambda| is below
-    ``_CUBIC_GAP`` sits near a band touching, where both steps lose
-    accuracy; it is marked, and its slopes are left for the caller to replace.
+    ``em`` and ``ep`` are exp(-ik) and exp(ik) on the grid.  Since det U = d
+    = det C and U is unitary, p = lambda^3 - a lambda^2 + d conj(a) lambda
+    - d with a = tr U(k).  Cardano's formula gives the roots, scaled to unit
+    modulus.  Returns three pairs (lambda, p'(lambda)) of arrays shaped
+    like ``em``, one per root, in no particular order: arrays of one root
+    each stay small enough to be reused by the allocator, where (n, 3)
+    arrays of all three are mapped and unmapped afresh at every step.
     """
-    em, ep = np.exp(-1j * ks), np.exp(1j * ks)
     a = em * matrix[0, 0] + matrix[1, 1] + ep * matrix[2, 2]
-    da = 1j * (ep * matrix[2, 2] - em * matrix[0, 0])
     d = np.linalg.det(matrix)
     e2 = d * a.conj()
     d0 = a * a - 3.0 * e2
     d1 = (9.0 * e2 - 2.0 * a * a) * a - 27.0 * d
     root = np.sqrt(d1 * d1 - 4.0 * d0 ** 3)
     w = np.where(np.abs(d1 + root) >= np.abs(d1 - root), d1 + root, d1 - root)
-    c = (w / 2.0) ** (1.0 / 3.0)
-    c = c[:, None] * np.exp(_TWO_PI / 3.0 * 1j * np.arange(3))
-    # Three times the roots (the normalization drops the factor).  A triple
-    # root has c = 0 = d0, and its quotient d0/c is taken as 0.
-    lam = a[:, None] - c - d0[:, None] / np.where(c == 0.0, 1.0, c)
-    lam = lam / np.abs(lam)
-    dp = (3.0 * lam - 2.0 * a[:, None]) * lam + e2[:, None]
-    kp = (d * da.conj()[:, None] - da[:, None] * lam) * lam
-    near = np.abs(dp) < _CUBIC_GAP
-    slopes = np.real(-kp / (1j * lam * np.where(near, 1.0, dp)))
-    return slopes, near.any(axis=1)
+    # The principal cube root of w / 2, without a complex power.
+    c = np.cbrt(np.abs(w) / 2.0) * np.exp(1j / 3.0 * np.angle(w))
+    # A triple root has c = 0 = d0, and its quotient d0/c is taken as 0.
+    q = d0 / np.where(c == 0.0, 1.0, c)
+    roots = []
+    for u in _UNITY:
+        # Three times the root of the cube root c u of w / 2 (the
+        # normalization drops the factor), where d0 / (c u) = q conj(u).
+        lam = a - c * u - q * u.conjugate()
+        lam /= np.abs(lam)
+        roots.append((lam, (3.0 * lam - 2.0 * a) * lam + e2))
+    return roots
+
+
+def _cubic_slopes(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
+    """Slopes d omega/dk of the three roots of det(lambda - U(k)) at every k.
+
+    Returns ``(slopes, near)``: slopes of shape ``(em.size, 3)`` in no
+    particular band order, and a mask of the samples whose slopes are not
+    to be trusted.  Implicit differentiation of p (see ``_cubic_roots``)
+    gives d lambda/dk = -(dp/dk) / (dp/dlambda), and the slope is
+    Re(lambda' / (i lambda)); with z = (dp/dk) conj(lambda) that is
+    (Re z Im p' - Im z Re p') / |p'|^2, in real arithmetic.  A sample where
+    some |dp/dlambda| is below ``_CUBIC_GAP`` sits near a band touching,
+    where both steps lose accuracy; it is marked, and its slopes are left
+    for the caller to replace.  The slopes only choose samples, so they
+    need not have the bits of any other method: off the marked samples
+    they err by about 2e-10 at most, far below ``_TIE_MARGIN``.
+    """
+    da = 1j * (ep * matrix[2, 2] - em * matrix[0, 0])
+    d_da = np.linalg.det(matrix) * da.conj()
+    slopes = np.empty((3, em.size))
+    near = np.zeros(em.size, dtype=bool)
+    for row, (lam, dp) in zip(slopes, _cubic_roots(matrix, em, ep)):
+        z = d_da - da * lam
+        size = np.abs(dp)
+        small = size < _CUBIC_GAP
+        near |= small
+        np.multiply(z.real, dp.imag, out=row)
+        row -= z.imag * dp.real
+        row /= np.where(small, 1.0, size * size)
+    return slopes.T, near
+
+
+def _flat_bound(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
+    """An upper bound on |slope| of every band of U(k) at each sample.
+
+    At each sample the root lambda_s with the largest |p'| is simple, and
+    P = adj(lambda_s - U) / p'(lambda_s) projects onto its eigenvector, so
+    its band has slope s = P22 - P00 (Hellmann-Feynman, Delta = diag(-1, 0,
+    1)).  The other two slopes are Rayleigh quotients of Delta on the range
+    of I - P, bounded by the eigenvalues mu1, mu2 of E = (I - P) Delta
+    (I - P), whose entries are E_ij = delta_ij Delta_ii + P_ij (s - Delta_ii
+    - Delta_jj).  Since mu1 + mu2 = -s and mu1^2 + mu2^2 = |E|_F^2, both are
+    at most (|s| + sqrt(2 |E|_F^2 - s^2)) / 2 in modulus.  |E|_F^2 is summed
+    entry by entry: its closed form 2 - 2(P00 + P22) + s^2 cancels, and on
+    c1(pi/2) gave a bound of 1.5e-8, too loose to certify that flat coin.
+    With U = Phi N, Phi = diag(exp(-ik), 1, exp(ik)), adj U = adj(N) conj(Phi)
+    and N = lambda_s conj(Phi) - C differs from -C only on its diagonal.
+
+    A sample whose largest |p'| is at most ``_CUBIC_GAP`` (three bands
+    nearly meet) has an infinite bound; a NaN bound certifies nothing
+    either.  The eigenvector slopes exceed the bound by about
+    eps / |p'(lambda_s)|^2 at most.
+    """
+    (ls, g), *others = _cubic_roots(matrix, em, ep)
+    largest = np.abs(g)
+    for lam, dp in others:
+        size = np.abs(dp)
+        better = size > largest
+        ls, g = np.where(better, lam, ls), np.where(better, dp, g)
+        largest = np.maximum(largest, size, out=largest)
+    unsure = largest <= _CUBIC_GAP
+    g[unsure] = 1.0
+    del others, largest
+    diagonal = (ls * ep - matrix[0, 0], ls - matrix[1, 1], ls * em - matrix[2, 2])
+
+    def adj(i, j):
+        # adj(N)_ij = N[j+1, i+1] N[j+2, i+2] - N[j+1, i+2] N[j+2, i+1].
+        def n(r, c):
+            r, c = r % 3, c % 3
+            return diagonal[r] if r == c else -matrix[r, c]
+        return n(j + 1, i + 1) * n(j + 2, i + 2) - n(j + 1, i + 2) * n(j + 2, i + 1)
+
+    p00 = adj(0, 0) * ep / g
+    p22 = adj(2, 2) * em / g
+    s = p22.real - p00.real
+    # |E|_F^2: the diagonal entries, then |P_ij|^2 (s - Delta_ii - Delta_jj)^2
+    # off it, where |P_ij| = |adj(N)_ij| / |g|.
+    norm2 = np.abs(p00 * (s + 2.0) - 1.0) ** 2
+    norm2 += np.abs(p22 * (s - 2.0) + 1.0) ** 2
+    del p00, p22
+    norm2 += np.abs(adj(1, 1) / g * s) ** 2
+    g = np.abs(g)
+    for i, j in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
+        norm2 += (np.abs(adj(i, j)) / g * (s - (i - 1) - (j - 1))) ** 2
+    s = np.abs(s)
+    bound = np.sqrt(np.maximum(2.0 * norm2 - s * s, 0.0), out=norm2)
+    bound += s
+    bound /= 2.0
+    bound = np.maximum(bound, s, out=bound)
+    bound[unsure] = np.inf
+    return bound
 
 
 def _extremes(slopes: np.ndarray):
@@ -352,27 +446,36 @@ def _zoom(objective, centers: np.ndarray, half_width: float):
     """Maximize ``objective`` near each of ``centers`` by shrinking brackets.
 
     ``centers`` may have any shape; ``objective`` maps an array of k of
-    shape ``centers.shape + (9,)`` to values.  Each pass samples
+    shape ``centers.shape + (m,)`` to values.  Each pass samples
     [c - w, c + w] at nine points, recentres on the best sample and quarters
-    w, so the new bracket still holds both neighbours of the best sample; the
-    centre itself is resampled, so the best value never drops.  Returns the
-    final centres and their values, each of the shape of ``centers``.  Every
-    centre takes the same passes, so a batch of centres gives each the bits
-    it gets alone.  The values are good to rounding, but a centre only to
-    about the square root of the rounding in the values (measured 4-5e-8
-    rad), however narrow the final bracket: near a maximum the objective is
-    flat to second order.
+    w, so the new bracket still holds both neighbours of the best sample.
+    The middle sample, offset 0, is k = c exactly, whose value the previous
+    pass found: only the first pass evaluates all nine points (m = 9), each
+    later one the other eight (m = 8), and the carried value fills the
+    middle, so the best value never drops and ``argmax`` sees the nine
+    values that evaluating all nine would give.  Returns the final centres
+    and their values, each of the shape of ``centers``.  Every centre takes
+    the same passes, so a batch of centres gives each the bits it gets
+    alone.  The values are good to rounding, but a centre only to about the
+    square root of the rounding in the values (measured 4-5e-8 rad), however
+    narrow the final bracket: near a maximum the objective is flat to second
+    order.
     """
     offsets = np.linspace(-1.0, 1.0, 9)
-    c = np.asarray(centers, dtype=float)
+    outer = offsets != 0.0
+    ks = np.asarray(centers, dtype=float)[..., None] + half_width * offsets
+    values = objective(ks)
     while True:
-        ks = c[..., None] + half_width * offsets
-        values = objective(ks)
         best = np.argmax(values, axis=-1)[..., None]
-        c = np.take_along_axis(ks, best, axis=-1)[..., 0]
+        c = np.take_along_axis(ks, best, axis=-1)
+        v = np.take_along_axis(values, best, axis=-1)
         if half_width < _ZOOM_RESOLUTION:
-            return c, np.take_along_axis(values, best, axis=-1)[..., 0]
+            return c[..., 0], v[..., 0]
         half_width /= 4.0
+        ks = c + half_width * offsets
+        values = np.empty_like(ks)
+        values[..., outer] = objective(ks[..., outer])
+        values[..., ~outer] = v
 
 
 @dataclass(frozen=True)
@@ -425,49 +528,68 @@ def peak_velocities_numeric(coin: Coin,
     unmarked samples.  The cubic errs by far less than that margin, so the
     grid extremes, the first sample attaining each (parity-symmetric coins
     have mirror-image ties) and the results are exactly those of eigenvector
-    slopes on the whole grid.  The velocities are good to rounding; k0 only
-    to about 1e-7 rad, although it is printed with 17 digits, because the
-    slope is flat to second order at its maximum (see ``_zoom``).
+    slopes on the whole grid.  A coin that the closed-form ``_flat_bound``
+    certifies flat skips that pass; the bound exceeds the eigenvector
+    slopes, so the pass would find it flat too (see ``_peak_velocities``).
+    The velocities are good to rounding; k0 only to about 1e-7 rad,
+    although it is printed with 17 digits, because the slope is flat to
+    second order at its maximum (see ``_zoom``).
     """
     return _peak_velocities(coin.matrix[None], n_samples)[0]
 
 
-def _peak_velocities(matrices: np.ndarray,
-                     n_samples: int) -> list[PeakVelocityResult]:
+def _peak_velocities(matrices: np.ndarray, n_samples: int,
+                     left: bool = True) -> list[PeakVelocityResult]:
     """``peak_velocities_numeric`` for every coin of a (P, 3, 3) stack.
 
-    Each coin takes its own grid pass, which keeps only the two grid samples
-    the zoom starts from.  One ``_zoom`` then refines the centres of every
-    coin that is not flat, ``_ZOOM_BLOCK`` coins at a time, so the arrays of
-    a pass stay the same size however many coins there are.  Each 3x3 is
-    still solved on its own, so every result has the bits of a call per coin.
+    Each coin takes its own grid pass, which keeps only the grid samples the
+    zoom starts from.  One ``_zoom`` then refines the centres of every coin
+    that is not flat, ``_ZOOM_BLOCK`` coins at a time, so the arrays of a
+    pass stay the same size however many coins there are.  Each 3x3 is
+    still solved on its own, so every result has the bits of a call per
+    coin.  With ``left=False`` only the maximum is refined, for callers that
+    read v_right and k0 alone: those keep their bits, since each centre is
+    refined on its own, and v_left is NaN unless the coin is flat.
+
+    A coin whose unmarked cubic slopes all lie within ``FLAT_BAND_TOL / 2``
+    of zero is offered to ``_flat_bound``; when that bound too stays below
+    ``FLAT_BAND_TOL / 2`` at every sample, the coin is flat with no
+    eigensolve at all.  The eigenvector slopes exceed the bound by rounding
+    only, so the grid pass below would call such a coin flat as well; every
+    other coin takes that pass.
     """
     ks = _grid(n_samples, "velocity grid")
+    em = np.exp(-1j * ks)
+    ep = em.conj()
     centers = np.zeros((len(matrices), 2))
     live = np.zeros(len(matrices), dtype=bool)
     for i, matrix in enumerate(matrices):
-        slopes, near = _cubic_slopes(matrix, ks)
+        slopes, near = _cubic_slopes(matrix, em, ep)
         top, bottom = _extremes(slopes)
         # Slopes lie in [-1, 1], so +-2 stand for "no unmarked sample".
-        exact = near | (top >= top.max(where=~near, initial=-2.0) - _TIE_MARGIN)
-        exact |= bottom <= bottom.min(where=~near, initial=2.0) + _TIE_MARGIN
+        high = top.max(where=~near, initial=-2.0)
+        low = bottom.min(where=~near, initial=2.0)
+        if (max(high, -low) < FLAT_BAND_TOL / 2
+                and np.all(_flat_bound(matrix, em, ep) < FLAT_BAND_TOL / 2)):
+            continue
+        exact = near | (top >= high - _TIE_MARGIN) | (bottom <= low + _TIE_MARGIN)
         top[exact], bottom[exact] = _extremes(_band_slopes(matrix, ks[exact]))
         if max(top.max(), -bottom.min()) >= FLAT_BAND_TOL:
             live[i] = True
             centers[i] = ks[[np.argmax(top), np.argmin(bottom)]]
-    sign = np.array([1.0, -1.0])[:, None, None]
+    sign = np.array([1.0, -1.0] if left else [1.0])[:, None, None]
     results = [PeakVelocityResult(0.0, 0.0, None)] * len(matrices)
     index = np.flatnonzero(live)
     for start in range(0, index.size, _ZOOM_BLOCK):
         block = index[start:start + _ZOOM_BLOCK]
         stack = matrices[block][:, None, None]
         k, v = _zoom(lambda kk: (sign * _band_slopes(stack, kk)).max(axis=-1),
-                     centers[block], _TWO_PI / ks.size)
-        for i, (k_right, _), (v_right, minus_v_left) in zip(block, k, v):
-            k0 = float(k_right) % _TWO_PI
+                     centers[block, :sign.size], _TWO_PI / ks.size)
+        for i, k_i, v_i in zip(block, k, v):
+            k0 = float(k_i[0]) % _TWO_PI
             k0 = min(k0, _TWO_PI - k0) if ks.size >= 256 else None
-            results[i] = PeakVelocityResult(-float(minus_v_left),
-                                            float(v_right), k0)
+            v_left = -float(v_i[1]) if left else math.nan
+            results[i] = PeakVelocityResult(v_left, float(v_i[0]), k0)
     return results
 
 

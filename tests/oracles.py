@@ -34,6 +34,18 @@ def propagators(matrix: np.ndarray, ks) -> np.ndarray:
     return phase[:, :, None] * matrix[None, :, :]
 
 
+def flat_band_defect(coin_matrix: np.ndarray) -> float:
+    """|C00| + |C22|, which vanishes exactly when every band is flat.
+
+    U(k) = diag(exp(-ik), 1, exp(ik)) C has det U = det C for every k, and
+    trace a(k) = exp(-ik) C00 + C11 + exp(ik) C22.  Its characteristic
+    polynomial lambda^3 - a lambda^2 + det C conj(a) lambda - det C depends
+    on k only through a(k), so the eigenphases are all constant in k exactly
+    when the Fourier coefficients C00 and C22 of a(k) both vanish.
+    """
+    return float(abs(coin_matrix[0, 0]) + abs(coin_matrix[2, 2]))
+
+
 def dispersion_analytic(family: str, parameter: float | None, k):
     """Closed-form dispersion (omega1, omega2, omega3) of a named family.
 

@@ -16,7 +16,8 @@ import triwalk.localization as localization
 import triwalk.spectral as spectral
 import triwalk.walk as walk
 from triwalk.cli import build_parser, main, parse_coin, parse_state
-from triwalk.coins import Coin, CoinFamily, coin_c2, fourier_coin, grover_coin
+from triwalk.coins import (Coin, CoinFamily, coin_c1, coin_c2, fourier_coin,
+                           grover_coin)
 from triwalk.localization import LocalizationReport
 from triwalk.spectral import (
     DispersionTable,
@@ -325,8 +326,23 @@ class TestSweep:
             for p in np.linspace(0.0, 1.0, 5)
         ]
 
+    @pytest.mark.parametrize("grid", [16, 17, 256, 4096])
+    def test_c1_rows_match_serial_calls(self, tmp_path, grid):
+        # The sweep refines only the maximum; v_numeric keeps the bits of a
+        # full call per point, the flat coin c1(pi/2) included.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", "c1", "--points", "5",
+                     "--grid", str(grid), "--out", str(out)]) == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [
+            (p, peak_velocities_numeric(coin_c1(p), grid).v_right)
+            for p in np.linspace(0.0, math.pi / 2, 5)
+        ]
+
     def test_one_zoom_for_every_point(self, tmp_path, monkeypatch):
-        # The 49 points that spread (c1(pi/2) is flat) share one zoom.
+        # The 49 points that spread (c1(pi/2) is flat) share one zoom, which
+        # refines only the maximum, the one velocity the sweep prints.
         calls = []
         zoom = spectral._zoom
 
@@ -337,7 +353,7 @@ class TestSweep:
         monkeypatch.setattr(spectral, "_zoom", counted)
         assert main(["sweep", "--family", "c1", "--points", "50", "--grid",
                      "256", "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert calls == [(49, 2)]
+        assert calls == [(49, 1)]
 
     def test_unknown_family_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -640,7 +656,7 @@ class TestOutputBytes:
         # c2 at rho = 0 and 1: the analytic velocity is rho, the deviation 0.
         result = PeakVelocityResult(-0.1, 0.1, None)
         monkeypatch.setattr(cli, "_peak_velocities",
-                            lambda matrices, grid: [result] * len(matrices))
+                            lambda matrices, grid, left: [result] * len(matrices))
         for fmt in ("csv", "json"):
             assert main(["sweep", "--family", "c2", "--points", "2",
                          "--format", fmt, "--out", str(tmp_path / fmt)]) == 0

@@ -5,6 +5,7 @@ import itertools
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,12 +22,16 @@ from triwalk.coins import (
     grover_coin,
     grover_eigensystem,
     permutation_coin,
+    reflecting_coin,
+    transmitting_coin,
 )
 from triwalk.localization import origin_series
-from triwalk.spectral import _band_slopes, _cubic_slopes, peak_velocities_numeric
+import triwalk.spectral as spectral
+from triwalk.spectral import (FLAT_BAND_TOL, _band_slopes, _cubic_slopes,
+                              _flat_bound, peak_velocities_numeric)
 from triwalk.walk import evolve, initial_state, probability_distribution
 
-from oracles import haar_unitary, hf_velocity_range, random_state
+from oracles import flat_band_defect, haar_unitary, hf_velocity_range, random_state
 from test_spectral import assert_tracks_like_loop
 from test_walk import allocating_evolve, allocating_origin_series
 
@@ -72,6 +77,8 @@ def test_custom_coin_velocities_match_dense_scan(matrix):
 
 
 GRID = np.arange(4096) * (2 * math.pi / 4096)
+# exp(-ik) and exp(ik) on GRID, the phase table the cubic takes.
+PHASES = np.exp(-1j * GRID), np.exp(1j * GRID)
 
 
 @settings(max_examples=20, deadline=None)
@@ -80,7 +87,7 @@ def test_cubic_slope_extremes_match_eigenvectors(seed):
     # Over the samples the cubic does not flag; the flagged ones carry no
     # slopes to compare.
     matrix = haar_unitary(seed)
-    slopes, near = _cubic_slopes(matrix, GRID)
+    slopes, near = _cubic_slopes(matrix, *PHASES)
     reference = _band_slopes(matrix, GRID)
     assert abs(slopes[~near].max() - reference[~near].max()) < 1e-9
     assert abs(slopes[~near].min() - reference[~near].min()) < 1e-9
@@ -95,7 +102,7 @@ def test_cubic_falls_back_on_degenerate_coins(matrix):
     # checks the velocities those give).
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, near = _cubic_slopes(matrix, GRID)
+        _, near = _cubic_slopes(matrix, *PHASES)
     assert near.all()
 
 
@@ -104,11 +111,106 @@ def test_cubic_triple_root_falls_back():
     # Cardano's cube root vanishes.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        slopes, near = _cubic_slopes(np.eye(3), GRID)
+        slopes, near = _cubic_slopes(np.eye(3), *PHASES)
     assert near[0]
     reference = _band_slopes(np.eye(3), GRID)
     assert abs(slopes[~near].max() - reference[~near].max()) < 1e-9
     assert abs(slopes[~near].min() - reference[~near].min()) < 1e-9
+
+
+def assert_bound_covers_slopes(matrix):
+    # Wherever the flatness bound is finite it bounds every eigenvector
+    # slope, up to the rounding of both.
+    bound = _flat_bound(matrix, *PHASES)
+    slopes = np.abs(_band_slopes(matrix, GRID)).max(axis=1)
+    finite = np.isfinite(bound)
+    assert finite.any()
+    assert np.all(bound[finite] + 1e-9 >= slopes[finite])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds)
+def test_flat_bound_covers_haar_slopes(seed):
+    assert_bound_covers_slopes(haar_unitary(seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["c1", "c2"]), st.floats(min_value=-12.0, max_value=0.0))
+@example("c1", -9.0)
+@example("c2", -8.0)
+def test_flat_bound_covers_near_flat_slopes(family, exponent):
+    # c1(pi/2) and c2(0) are flat; 10**exponent moves the coin off them.
+    delta = 10.0 ** exponent
+    coin = coin_c1(math.pi / 2 - delta) if family == "c1" else coin_c2(delta)
+    assert_bound_covers_slopes(coin.matrix)
+
+
+def exactly_flat_coin(seed: int, perm=(2, 1, 0)) -> np.ndarray:
+    """A permutation coin between seeded random diagonal phases.
+
+    The default is the exchange L <-> R; it and the two cyclic permutations
+    leave C00 = C22 = 0 exactly, so every band is flat.
+    """
+    rng = np.random.default_rng(seed)
+    left, right = np.exp(1j * rng.uniform(0.0, 2 * math.pi, size=(2, 3)))
+    return left[:, None] * np.eye(3)[list(perm)] * right[None, :]
+
+
+def peak_search_eigensolves(matrix: np.ndarray) -> bool:
+    """Whether the peak search of a flat coin runs any eigensolve."""
+    with mock.patch.object(spectral, "_band_slopes",
+                           wraps=spectral._band_slopes) as band_slopes:
+        result = peak_velocities_numeric(Coin(matrix))
+    assert (result.v_left, result.v_right, result.k0) == (0.0, 0.0, None)
+    return band_slopes.called
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds)
+def test_exactly_flat_coins_are_certified(seed):
+    # With the exchange, U(k) has a degenerate pair at every k, and the
+    # bound is tight.  A cyclic permutation has three distinct flat bands;
+    # the bound, which covers the whole plane of the two bands other than
+    # the one with the largest |p'|, reads about 1/sqrt(3) there, so the
+    # eigenvector pass decides (and finds the coin flat).
+    matrix = exactly_flat_coin(seed)
+    assert flat_band_defect(matrix) == 0.0
+    assert not peak_search_eigensolves(matrix)
+    for perm in ((1, 2, 0), (2, 0, 1)):
+        matrix = exactly_flat_coin(seed, perm)
+        assert flat_band_defect(matrix) == 0.0
+        assert peak_search_eigensolves(matrix)
+
+
+@pytest.mark.parametrize("coin", [permutation_coin(), coin_c1(math.pi / 2),
+                                  coin_c2(0.0), reflecting_coin()],
+                         ids=["pi", "c1:pi/2", "c2:0", "reflecting"])
+def test_named_flat_coins_are_certified(coin):
+    # c1(pi/2) keeps C00 = C22 = 2.8e-16 from the rounding of cos(pi/2).
+    assert flat_band_defect(coin.matrix) < 1e-15
+    assert not peak_search_eigensolves(coin.matrix)
+
+
+def partial_rotation(seed: int, size: float) -> np.ndarray:
+    """exp(i size H) for a seeded random Hermitian H of unit-order entries."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    w, v = np.linalg.eigh(a + a.conj().T)
+    return (v * np.exp(1j * size * w)) @ v.conj().T
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.floats(min_value=-3.0, max_value=0.0))
+def test_coins_off_the_flat_rule_are_not_certified(seed, exponent):
+    # Haar coins, and exactly flat coins rotated away from the rule: the
+    # bound itself, without the cubic's gate in front of it, must reject
+    # every one with |C00| + |C22| >= 1e-3.
+    for matrix in (haar_unitary(seed),
+                   exactly_flat_coin(seed) @ partial_rotation(seed, 10.0 ** exponent),
+                   transmitting_coin().matrix):
+        if flat_band_defect(matrix) >= 1e-3:
+            bound = _flat_bound(matrix, *PHASES)
+            assert not np.all(bound < FLAT_BAND_TOL / 2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,11 @@ def eigenvector_peak_search(coin: Coin, n: int):
     return -float(v[1]), float(v[0]), min(k0, 2 * math.pi - k0) if n >= 256 else None
 
 
+# Coins of TestCubicCoarsePass.COINS whose every band is flat to within the
+# flatness bound, so no eigensolve runs for them.
+CERTIFIED = ("pi", "c1:pi/2", "c2:0", "c1:pi/2-1e-9", "c2:1e-9")
+
+
 class TestCubicCoarsePass:
     # The cubic only chooses where the zoom starts; every result must be bit
     # for bit what eigenvector slopes on the whole grid give.
@@ -416,12 +422,14 @@ class TestCubicCoarsePass:
 
         monkeypatch.setattr(spectral, "_band_slopes", no_eigensolve)
         ks = np.arange(512) * (2 * math.pi / 512)
-        spectral._cubic_slopes(coin.matrix, ks)
+        spectral._cubic_slopes(coin.matrix, np.exp(-1j * ks), np.exp(1j * ks))
 
-    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
-    def test_one_eigenvector_pass_on_the_grid(self, coin, monkeypatch):
-        # The grid pass solves once, over a 1-D set of samples; the zoom's
-        # calls take 2-D arrays of k.
+    @pytest.mark.parametrize("name", COINS)
+    def test_one_eigenvector_pass_on_the_grid(self, name, monkeypatch):
+        # The grid pass solves once, over a 1-D set of samples, unless the
+        # flatness bound certifies the coin; the zoom's calls take 2-D
+        # arrays of k.
+        coin = self.COINS[name]
         grid_calls = []
         band_slopes = spectral._band_slopes
 
@@ -432,12 +440,131 @@ class TestCubicCoarsePass:
 
         monkeypatch.setattr(spectral, "_band_slopes", counted)
         peak_velocities_numeric(coin, 512)
-        assert len(grid_calls) == 1
+        assert len(grid_calls) == (name not in CERTIFIED)
 
     def test_mirror_tie_keeps_first_sample(self):
         # c1(0.6) attains its grid maximum at mirror-image samples; the first
         # one sets k0.
         assert peak_velocities_numeric(coin_c1(0.6)).k0 == 1.307777166922583
+
+
+def reference_zoom(objective, centers, half_width):
+    """The zoom as a plain loop that evaluates all nine samples every pass."""
+    offsets = np.linspace(-1.0, 1.0, 9)
+    c = np.asarray(centers, dtype=float)
+    while True:
+        ks = c[..., None] + half_width * offsets
+        values = objective(ks)
+        best = np.argmax(values, axis=-1)[..., None]
+        c = np.take_along_axis(ks, best, axis=-1)[..., 0]
+        if half_width < spectral._ZOOM_RESOLUTION:
+            return c, np.take_along_axis(values, best, axis=-1)[..., 0]
+        half_width /= 4.0
+
+
+class TestZoomCarriesCentre:
+    # Each pass after the first evaluates eight samples and carries the
+    # middle one's value; centres and values keep the nine-sample loop's
+    # bits, ties included.
+    @staticmethod
+    def same_bits(objective, centers, half_width):
+        got = spectral._zoom(objective, centers, half_width)
+        want = reference_zoom(objective, centers, half_width)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_plateaus_and_ties(self):
+        # A staircase: whole brackets of equal values, where the first
+        # maximal sample wins.
+        def steps(kk):
+            return np.floor(4.0 * np.cos(3.0 * kk) + 0.5 * np.sin(kk))
+
+        centers = np.linspace(0.0, 2 * math.pi, 40).reshape(5, 8)
+        self.same_bits(steps, centers, 0.3)
+        self.same_bits(lambda kk: np.zeros_like(kk), centers, 0.3)
+
+    def test_shapes_of_centres(self):
+        def smooth(kk):
+            return np.sin(kk) - 0.1 * kk * kk
+
+        self.same_bits(smooth, np.array(0.4), 0.01)
+        self.same_bits(smooth, np.array([0.4, 2.0]), 0.01)
+
+    @pytest.mark.parametrize("n", [17, 256, 4096])
+    def test_band_slope_objectives(self, n):
+        # Both extremes of a stack of coins, from their grid samples.
+        coins = [grover_coin(), coin_c1(0.6), coin_c2(0.3), coin_c2(1.0),
+                 Coin(haar_unitary(0)), Coin(haar_unitary(7))]
+        stack = np.array([c.matrix for c in coins])[:, None, None]
+        sign = np.array([1.0, -1.0])[:, None, None]
+        ks = np.arange(n) * (2 * math.pi / n)
+        slopes = spectral._band_slopes(stack[:, 0, 0, None], ks)
+        centers = np.stack([ks[np.argmax(slopes.max(axis=-1), axis=-1)],
+                            ks[np.argmin(slopes.min(axis=-1), axis=-1)]], axis=1)
+        self.same_bits(
+            lambda kk: (sign * spectral._band_slopes(stack, kk)).max(axis=-1),
+            centers, 2 * math.pi / n)
+
+
+class TestFlatCertificate:
+    # Coins whose bands are all flat to within FLAT_BAND_TOL / 2 are
+    # certified by a closed-form bound, with no eigensolve; the others near
+    # that line take the eigenvector pass.  Either way the result is the
+    # eigenvector search's.
+    NAMED = {name: TestCubicCoarsePass.COINS[name] for name in CERTIFIED}
+    FALL_BACK = {"c2:1e-8": coin_c2(1e-8), "c2:6e-9": coin_c2(6e-9)}
+
+    @staticmethod
+    def count_band_slopes(monkeypatch):
+        calls = []
+        band_slopes = spectral._band_slopes
+
+        def counted(matrix, ks):
+            calls.append(ks.shape)
+            return band_slopes(matrix, ks)
+
+        monkeypatch.setattr(spectral, "_band_slopes", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [17, 4096])
+    @pytest.mark.parametrize("name", NAMED)
+    def test_certified_coins_run_no_eigensolve(self, name, n, monkeypatch):
+        coin = self.NAMED[name]
+        want = eigenvector_peak_search(coin, n)
+        calls = self.count_band_slopes(monkeypatch)
+        res = peak_velocities_numeric(coin, n)
+        assert calls == []
+        assert (res.v_left, res.v_right, res.k0) == want == (0.0, 0.0, None)
+
+    @pytest.mark.parametrize("name", FALL_BACK)
+    def test_coins_past_the_bound_fall_back(self, name, monkeypatch):
+        coin = self.FALL_BACK[name]
+        ks = np.arange(4096) * (2 * math.pi / 4096)
+        bound = spectral._flat_bound(coin.matrix, np.exp(-1j * ks),
+                                     np.exp(1j * ks))
+        assert bound.max() >= spectral.FLAT_BAND_TOL / 2
+        want = eigenvector_peak_search(coin, 4096)
+        calls = self.count_band_slopes(monkeypatch)
+        res = peak_velocities_numeric(coin, 4096)
+        assert calls[0] == (4096,)
+        assert (res.v_left, res.v_right, res.k0) == want
+
+    QUIET = {**NAMED, **FALL_BACK, "identity": Coin(np.eye(3))}
+
+    @pytest.mark.parametrize("name", QUIET)
+    def test_no_runtime_warning(self, name):
+        # The identity coin has a triple root at k = 0, where every |p'|
+        # vanishes and the bound is infinite.
+        coin = self.QUIET[name]
+        ks = np.arange(4096) * (2 * math.pi / 4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = spectral._flat_bound(coin.matrix, np.exp(-1j * ks),
+                                         np.exp(1j * ks))
+            peak_velocities_numeric(coin, 4096)
+        assert not np.isnan(bound).any()
+        assert np.isinf(bound[0]) == (name == "identity")
 
 
 def bits(results):

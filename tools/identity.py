@@ -92,6 +92,15 @@ def invocations() -> list[tuple[str, ...]]:
          "--out", OUT),
         ("sweep", "--family", "c2", "--points", "300", "--grid", "64",
          "--out", OUT),
+        # Both points of a c2 sweep on the smallest grid: the flat coin
+        # c2(0), certified without an eigensolve, and the touching at rho = 1.
+        ("sweep", "--family", "c2", "--points", "2", "--grid", "16",
+         "--out", OUT),
+        # Near the flat coins: c1 1e-9 below pi/2 is certified flat; c2 at
+        # 1e-8 and 6e-9 lies past the flatness bound and takes the
+        # eigenvector pass.
+        *(("velocity", "--coin", spec, "--out", OUT) for spec in
+          ("c1:1.5707963257948966", "c2:1e-8", "c2:6e-9")),
         ("sweep", "--family", "c3", "--out", OUT),
         ("simulate", "--steps", "4000", "--out", OUT),
         ("localize", "--steps", "4000", "--out", OUT),
