@@ -303,6 +303,7 @@ def coin_c2(rho: float) -> Coin:
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    rho += 0.0  # -0.0 becomes +0.0, so c2(-0.0) is c2(0.0) bit for bit
     s = math.sqrt(1.0 - rho * rho)
     v1 = np.array([rho / math.sqrt(2.0), -s, rho / math.sqrt(2.0)])
     v2 = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)

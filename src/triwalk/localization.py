@@ -4,7 +4,8 @@ A flat eigenphase branch means the walk propagator has a point spectrum, so
 part of the wave packet overlaps bound states and stays near the origin.
 The origin probability p(0, t) oscillates rather than converging, so the
 trapped fraction is estimated by Cesaro (time window) averaging; the flat
-band itself is detected directly from the tracked dispersion.
+band itself is read from the tracked dispersion, as its flattest branch
+(index 2 of the table).
 """
 
 from __future__ import annotations
@@ -78,17 +79,21 @@ def trapping_estimate(series) -> TrappingEstimate:
 
 def flat_band_detect(coin: Coin,
                      n_samples: int = 1024) -> tuple[bool, complex | None]:
-    """Whether some eigenphase branch is constant in k (point spectrum).
+    """Whether the flattest eigenphase branch is constant in k.
 
-    Returns (True, eigenvalue) with the point-spectrum eigenvalue
-    exp(i mean phase) when a branch varies by less than ``FLAT_BAND_TOL``
-    across the grid, else (False, None).
+    A constant branch is a point spectrum of the walk.  The flat band is
+    the branch that ``dispersion_numeric`` places at index 2, the one of
+    least phase spread, so this reads that branch alone.  Returns (True,
+    eigenvalue) with the point-spectrum eigenvalue exp(i mean phase) when
+    it varies by less than ``FLAT_BAND_TOL`` across the grid, else (False,
+    None).  Where several branches are flat, as at the all-flat coins, the
+    eigenvalue is that of the flattest.
     """
     if _count(n_samples, "flat band grid") < 256:
         raise ValueError("flat band detection needs at least 256 samples")
-    for omega in dispersion_numeric(coin, n_samples).branches:
-        if np.max(np.abs(omega - omega.mean())) < FLAT_BAND_TOL:
-            return True, complex(np.exp(1j * omega.mean()))
+    omega = dispersion_numeric(coin, n_samples).branches[2]
+    if np.max(np.abs(omega - omega.mean())) < FLAT_BAND_TOL:
+        return True, complex(np.exp(1j * omega.mean()))
     return False, None
 
 

@@ -46,6 +46,38 @@ def flat_band_defect(coin_matrix: np.ndarray) -> float:
     return float(abs(coin_matrix[0, 0]) + abs(coin_matrix[2, 2]))
 
 
+def flat_cubic_residual(coin_matrix: np.ndarray, lam: complex) -> float:
+    """|lam^3 - C11 lam^2 + d conj(C11) lam - d| with d = det C.
+
+    The characteristic polynomial of U(k) = diag(exp(-ik), 1, exp(ik)) C is
+    that k-free cubic plus exp(-ik) (d conj(C22) - C00 lam) lam and
+    exp(ik) (d conj(C00) - C22 lam) lam, so a unit lam is an eigenvalue at
+    every k exactly when the cubic and both corner conditions vanish.  When
+    C00 = C22 = 0 every band is flat and the cubic alone decides.
+    """
+    c = np.asarray(coin_matrix, dtype=complex)
+    d = np.linalg.det(c)
+    return float(abs(lam ** 3 - c[1, 1] * lam ** 2
+                     + d * np.conj(c[1, 1]) * lam - d))
+
+
+def flat_eigenvalue(coin_matrix: np.ndarray) -> complex | None:
+    """The exact flat eigenvalue of a coin with C00 != 0, or None if none.
+
+    The corner condition C00 lam = d conj(C22) (see ``flat_cubic_residual``)
+    leaves one candidate; it is flat when C22 lam = d conj(C00) and the
+    cubic hold to 1e-9.  Ill-conditioned as C00 -> 0, so keep |C00| well
+    above rounding and check near-all-flat coins by the cubic alone.
+    """
+    c = np.asarray(coin_matrix, dtype=complex)
+    d = np.linalg.det(c)
+    lam = complex(d * np.conj(c[2, 2]) / c[0, 0])
+    if max(abs(c[2, 2] * lam - d * np.conj(c[0, 0])),
+           flat_cubic_residual(c, lam)) < 1e-9:
+        return lam
+    return None
+
+
 def dispersion_analytic(family: str, parameter: float | None, k):
     """Closed-form dispersion (omega1, omega2, omega3) of a named family.
 

@@ -230,6 +230,16 @@ class TestSimulate:
         assert predicted.startswith(f"predicted t*v_R = {front} ")
         assert predicted.endswith(f", {label})")
 
+    def test_negative_zero_parameter(self, tmp_path, capsys):
+        # c2 keeps no sign of zero: c2:-0 prints v_R = 0.000000, not -0.
+        printed = []
+        for spec in ("c2:-0", "c2:0"):
+            assert main(["simulate", "--coin", spec, "--steps", "20",
+                         "--out", str(tmp_path / "x.csv")]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "(v_R = 0.000000, analytic)" in printed[0]
+
     def test_steps_cap(self, tmp_path, capsys):
         code = main(["simulate", "--steps", "200000",
                      "--out", str(tmp_path / "x.csv")])

@@ -166,6 +166,15 @@ class TestCoinC2:
         with pytest.raises(ValueError):
             coin_c2(rho)
 
+    @pytest.mark.parametrize("rho", [-0.0, np.float64(-0.0)],
+                             ids=["float", "numpy"])
+    def test_negative_zero_is_zero(self, rho):
+        coin, zero = coin_c2(rho), coin_c2(0.0)
+        assert np.array_equal(coin.matrix.view(np.int64),
+                              zero.matrix.view(np.int64))
+        assert np.float64(coin.parameter).view(np.int64) == \
+            np.float64(zero.parameter).view(np.int64)
+
 
 class TestCoinFromSpectral:
     def test_grover_phases(self):

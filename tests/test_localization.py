@@ -7,12 +7,17 @@ from numpy.testing import assert_allclose
 
 import triwalk.localization as localization
 from oracles import (dispersion_analytic, flat_band_trapped_probability,
+                     flat_cubic_residual, flat_eigenvalue, haar_unitary,
                      random_state)
 from triwalk.coins import (
+    Coin,
     coin_c1,
     coin_c2,
+    coin_from_spectral,
     fourier_coin,
     grover_coin,
+    grover_eigensystem,
+    permutation_coin,
     transmitting_coin,
 )
 from triwalk.localization import (
@@ -21,6 +26,7 @@ from triwalk.localization import (
     origin_series,
     trapping_estimate,
 )
+from triwalk.spectral import FLAT_BAND_TOL, dispersion_numeric
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
 
@@ -30,6 +36,51 @@ PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
 GROVER_TRAPPED_LIMIT = (5.0 - 2.0 * math.sqrt(6.0)) / 3.0
 # Frozen Cesaro window averages of the engine's origin series at T = 1000.
 GROVER_WINDOWS_T1000 = (0.03441055122014052, 0.034226644512929026)
+
+# Coins whose corner C00 is far enough from 0 for the exact flat-eigenvalue
+# oracle to be well conditioned.
+CORNER_COINS = {
+    "grover": grover_coin(),
+    **{f"c1({phi})": coin_c1(phi) for phi in (0.3, 0.7, 1.2, 2.0)},
+    **{f"c2({rho})": coin_c2(rho) for rho in (0.2, 0.6, 0.9, 1 - 1e-9, 1.0)},
+    "fourier": fourier_coin(),
+    **{f"grover-basis{seed}": coin_from_spectral(
+        grover_eigensystem(),
+        np.random.default_rng(seed).uniform(-math.pi, math.pi, 3))
+       for seed in range(4)},
+    # A phase gap of pi between the last two eigenvectors keeps c1's flat
+    # band, here at lambda = exp(i theta3) instead of 1.
+    **{f"grover-basis-flat({theta3})": coin_from_spectral(
+        grover_eigensystem(), (theta1, theta3 + math.pi, theta3))
+       for theta1, theta3 in ((0.9, 0.4), (-2.1, 2.5))},
+    **{f"haar{seed}": Coin(haar_unitary(seed)) for seed in range(6)},
+}
+# Coins with C00 and C22 at rounding level, where the oracle's candidate is
+# ill-conditioned: every band is flat, or within about 1e-9 of flat.  They
+# are checked by the k-free cubic alone, which at the all-flat endpoints of
+# both families both 1 and -1 solve.
+CORNERLESS_COINS = {
+    "pi": permutation_coin(),
+    "c1(pi/2)": coin_c1(math.pi / 2),
+    "c2(0)": coin_c2(0.0),
+    "c2(1e-9)": coin_c2(1e-9),
+    "cyclic": Coin(np.roll(np.eye(3), 1, axis=0)),
+}
+# Just inside both families next to their all-flat endpoints: one band is
+# flat (lambda = 1) and a second is flat to about 1e-9.
+NEAR_FLAT_COINS = {
+    "c1(pi/2 - 1e-9)": coin_c1(1.5707963257948966),
+    "c2(1e-9)": coin_c2(1e-9),
+}
+# The coins of the CLI identity manifest, with its seeded Haar coin.
+IDENTITY_COINS = {
+    "grover": grover_coin(),
+    **{f"c1({phi})": coin_c1(phi) for phi in (0.6, 2.0, math.pi / 2)},
+    **{f"c2({rho})": coin_c2(rho) for rho in (0.0, 0.9, 1.0, 0.999999999)},
+    "pi": permutation_coin(),
+    "haar2012": Coin(haar_unitary(2012)),
+    **NEAR_FLAT_COINS,
+}
 
 
 class TestOriginSeries:
@@ -172,6 +223,44 @@ class TestFlatBandDetect:
                                            ks)
             assert np.max(np.abs(w3)) == 0.0
             assert flat_band_detect(coin)[0]
+
+    @pytest.mark.parametrize("name", CORNER_COINS)
+    def test_agrees_with_exact_flat_eigenvalue(self, name):
+        coin = CORNER_COINS[name]
+        assert abs(coin.matrix[0, 0]) >= 1e-3
+        flat, lam = flat_band_detect(coin, 1024)
+        exact = flat_eigenvalue(coin.matrix)
+        assert flat == (exact is not None)
+        if flat:
+            assert abs(lam - exact) < 1e-9
+
+    @pytest.mark.parametrize("name", CORNERLESS_COINS)
+    def test_cornerless_coin_eigenvalue_solves_flat_cubic(self, name):
+        coin = CORNERLESS_COINS[name]
+        assert max(abs(coin.matrix[0, 0]), abs(coin.matrix[2, 2])) < 1e-12
+        flat, lam = flat_band_detect(coin, 1024)
+        assert flat
+        assert flat_cubic_residual(coin.matrix, lam) <= 1e-12
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    @pytest.mark.parametrize("name", NEAR_FLAT_COINS)
+    def test_near_flat_endpoint_reports_flattest_band(self, name, n):
+        # The second, nearly flat band has spread about 1e-9 and eigenvalue
+        # near -1; the flat band of both families is lambda = 1.
+        flat, lam = flat_band_detect(NEAR_FLAT_COINS[name], n)
+        assert flat
+        assert abs(lam - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("name", IDENTITY_COINS)
+    def test_flag_is_whether_any_branch_is_flat(self, name, n):
+        coin = IDENTITY_COINS[name]
+        branches = dispersion_numeric(coin, n).branches
+        spread = np.max(np.abs(branches - branches.mean(axis=1,
+                                                        keepdims=True)),
+                        axis=1)
+        assert flat_band_detect(coin, n)[0] == bool(np.any(
+            spread < FLAT_BAND_TOL))
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,10 @@ def invocations() -> list[tuple[str, ...]]:
         # eigenvector pass.
         *(("velocity", "--coin", spec, "--out", OUT) for spec in
           ("c1:1.5707963257948966", "c2:1e-8", "c2:6e-9")),
+        # Near the flat coins, where a second branch is nearly flat: the
+        # flat band reported is the flattest one, lambda = 1.
+        *(("localize", "--steps", "300", "--grid", "256", "--coin", spec,
+           "--out", OUT) for spec in ("c1:1.5707963257948966", "c2:1e-9")),
         ("sweep", "--family", "c3", "--out", OUT),
         ("simulate", "--steps", "4000", "--out", OUT),
         ("localize", "--steps", "4000", "--out", OUT),
