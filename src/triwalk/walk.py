@@ -4,8 +4,11 @@ One step applies the coin to the amplitude triple at every site and then
 shifts: the L component moves one site left, S stays, R moves one site
 right.  After t steps the walker occupies at most the window [-t, t], and a
 ``WalkState`` stores exactly that window.  A walk is stepped in place in one
-component-major buffer wide enough for its last step (see ``_walk``).  No
-renormalization is ever applied; norm drift is a monitored invariant.
+component-major buffer wide enough for its last step (see ``_walk``).  A
+walk whose coin and starting amplitudes are real (Grover, every c2, the
+permutation coin, the state (1, -1, 1)/sqrt(3)) stays real, so it steps in
+``float64`` with the bits of the complex product.  No renormalization is
+ever applied; norm drift is a monitored invariant.
 """
 
 from __future__ import annotations
@@ -108,13 +111,24 @@ def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):
     sites beyond it stale.  BLAS packs the window operand, so its memory
     order changes no bit; the C-ordered product and the operand roles of
     ``window @ coin.matrix.T`` fix them (an F-ordered ``out`` would not).
+
+    When neither the coin nor ``amplitudes`` has a nonzero imaginary part,
+    every amplitude stays real, so the buffer and product are ``float64`` and
+    the operand is the real view of ``coin.matrix.T``.  That view is strided
+    in both axes, so numpy's own matmul loop runs instead of BLAS; each entry
+    it computes is the k-ordered multiply-add chain that is the real part of
+    the complex product, whose imaginary terms add exact zeros.  So the bits
+    are kept, up to the sign of a zero amplitude; ``tests/test_walk.py``
+    pins this against the complex product.
     """
-    buf = np.zeros((3, 2 * half + 1), dtype=np.complex128)
+    coin_t, amps = coin.matrix.T, amplitudes.T
+    if not (coin_t.imag.any() or amps.imag.any()):
+        coin_t, amps = coin_t.real, amps.real
+    buf = np.zeros((3, 2 * half + 1), dtype=amps.dtype)
     t = len(amplitudes) // 2
-    buf[:, half - t:half + t + 1] = amplitudes.T
-    product = np.empty((2 * half + 1, 3), dtype=np.complex128)
+    buf[:, half - t:half + t + 1] = amps
+    product = np.empty((2 * half + 1, 3), dtype=amps.dtype)
     yield buf
-    coin_t = coin.matrix.T
     for r in radii:
         lo, hi = half - r, half + r + 1
         prod = np.matmul(buf[:, lo:hi].T, coin_t, out=product[:hi - lo])

@@ -26,6 +26,22 @@ def random_state(seed: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def real_orthogonal(seed: int, det: int) -> np.ndarray:
+    """A random real orthogonal 3x3 matrix with determinant ``det`` (+-1), seeded."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))[None, :]
+    if np.linalg.det(q) * det < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def random_real_state(seed: int) -> np.ndarray:
+    """A random real unit coin state, seeded."""
+    psi = np.random.default_rng(seed).normal(size=3)
+    return psi / np.linalg.norm(psi)
+
+
 def propagators(matrix: np.ndarray, ks) -> np.ndarray:
     """U(k) = diag(exp(-ik), 1, exp(ik)) . C for every k, shape (n, 3, 3)."""
     ks = np.asarray(ks, dtype=float)
@@ -180,8 +196,39 @@ def hf_velocity_range(coin_matrix: np.ndarray,
     lo, hi = np.inf, -np.inf
     for ks in np.array_split(2.0 * np.pi * np.arange(n_modes) / n_modes, 16):
         _, vecs = np.linalg.eig(propagators(coin_matrix, ks))
-        weight = np.abs(vecs) ** 2
-        weight /= weight.sum(axis=1, keepdims=True)
-        slope = weight[:, 2, :] - weight[:, 0, :]
+        slope = hf_slopes(vecs)
         lo, hi = min(lo, float(slope.min())), max(hi, float(slope.max()))
     return lo, hi
+
+
+def hf_slopes(vecs: np.ndarray) -> np.ndarray:
+    """Band slopes |v_R|^2 - |v_L|^2 of eigenvector columns, shape (n, 3).
+
+    ``vecs[i, :, j]`` is an eigenvector of the i-th propagator; each is
+    normalized here, so any scaling of the columns gives the same slope.
+    """
+    weight = np.abs(vecs) ** 2
+    weight /= weight.sum(axis=1, keepdims=True)
+    return weight[:, 2, :] - weight[:, 0, :]
+
+
+def weak_limit_moments(coin_matrix: np.ndarray, psi_c: np.ndarray, orders,
+                       n_modes: int = 4096) -> list[float]:
+    """Moments E[V^n] of the weak limit V of X_t / t from the origin.
+
+    X_t / t converges in law to V, which puts weight |<v_j(k), psi_c>|^2 at
+    the group velocity omega_j'(k), averaged over k and summed over the
+    bands (Grimmett, Janson and Scudo, Phys. Rev. E 69, 026119, 2004).  The
+    slopes are the Hellmann-Feynman ones of ``hf_slopes``; QR makes each
+    eigenbasis orthonormal, so the weights sum to 1 even where two bands
+    nearly touch.  The midpoint grid misses the touchings at k = 0 and pi,
+    where an eigenbasis is arbitrary; the integrand is smooth and periodic,
+    so the midpoint rule converges spectrally.
+    """
+    ks = 2.0 * np.pi * (np.arange(n_modes) + 0.5) / n_modes
+    _, vecs = np.linalg.eig(propagators(coin_matrix, ks))
+    vecs, _ = np.linalg.qr(vecs)
+    slope = hf_slopes(vecs)
+    weight = np.abs(np.einsum("kij,i->kj", vecs.conj(), psi_c)) ** 2
+    return [float(np.mean(np.sum(slope ** n * weight, axis=1)))
+            for n in orders]

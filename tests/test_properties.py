@@ -31,9 +31,11 @@ from triwalk.spectral import (FLAT_BAND_TOL, _band_slopes, _cubic_slopes,
                               _flat_bound, peak_velocities_numeric)
 from triwalk.walk import evolve, initial_state, probability_distribution
 
-from oracles import flat_band_defect, haar_unitary, hf_velocity_range, random_state
+from oracles import (flat_band_defect, haar_unitary, hf_velocity_range,
+                     random_real_state, random_state, real_orthogonal)
 from test_spectral import assert_tracks_like_loop
-from test_walk import allocating_evolve, allocating_origin_series
+from test_walk import (allocating_evolve, allocating_origin_series,
+                       assert_same_bits)
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -248,6 +250,25 @@ def test_walk_kernel_matches_allocating_steps(coin_seed, state_seed, t):
     if t >= 1:
         assert np.array_equal(origin_series(coin, psi, t),
                               allocating_origin_series(coin, psi, t))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.sampled_from([1, -1]), seeds,
+       st.integers(min_value=0, max_value=300))
+def test_real_walk_matches_complex_allocating_steps(coin_seed, det,
+                                                    state_seed, t):
+    # A real coin from a real state steps in float64; the allocating steps
+    # keep the complex product, and the bits must agree.
+    coin = Coin(real_orthogonal(coin_seed, det))
+    psi = random_real_state(state_seed)
+    state = initial_state(psi)
+    got, expected = evolve(state, coin, t), allocating_evolve(state, coin, t)
+    assert np.array_equal(got.amplitudes, expected.amplitudes)
+    assert_same_bits(probability_distribution(got).probabilities,
+                     probability_distribution(expected).probabilities)
+    if t >= 1:
+        assert_same_bits(origin_series(coin, psi, t),
+                         allocating_origin_series(coin, psi, t))
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -7,11 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import dense_evolve, fft_evolve, haar_unitary, random_state
+from oracles import (
+    dense_evolve,
+    fft_evolve,
+    haar_unitary,
+    random_real_state,
+    random_state,
+    real_orthogonal,
+    weak_limit_moments,
+)
 from triwalk.coins import (
     Coin,
     coin_c1,
     coin_c2,
+    fourier_coin,
     grover_coin,
     permutation_coin,
     reflecting_coin,
@@ -21,6 +31,7 @@ from triwalk.localization import origin_series
 from triwalk.walk import (
     ProbabilityDistribution,
     WalkState,
+    _walk,
     evolve,
     initial_state,
     peak_positions,
@@ -29,6 +40,7 @@ from triwalk.walk import (
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
 PSI_LR = np.array([1, 0, 1]) / math.sqrt(2)
+PSI_REAL = random_real_state(5)
 
 
 class TestInitialState:
@@ -144,13 +156,21 @@ LONG_COINS = {"grover": grover_coin(), "c1-0.6": coin_c1(0.6),
               "c2-0.9": coin_c2(0.9), "c2-1": coin_c2(1.0),
               "pi": permutation_coin(), "haar1": Coin(haar_unitary(1)),
               "haar2": Coin(haar_unitary(2))}
+WALK_COINS = {**LONG_COINS, "c2-0.4": coin_c2(0.4), "fourier": fourier_coin()}
+
+
+@functools.cache
+def long_walk(name, steps):
+    """``WALK_COINS[name]`` walked from PSI_SYM, once per test session."""
+    return evolve(initial_state(PSI_SYM), WALK_COINS[name], steps)
 
 
 class TestLongWalks:
-    @pytest.mark.parametrize("coin", LONG_COINS.values(), ids=list(LONG_COINS))
-    def test_evolve_matches_fft_oracle(self, coin):
-        expected = fft_evolve(coin.matrix, PSI_SYM, LONG_T, LONG_MODES)
-        state = evolve(initial_state(PSI_SYM), coin, LONG_T)
+    @pytest.mark.parametrize("name", LONG_COINS)
+    def test_evolve_matches_fft_oracle(self, name):
+        expected = fft_evolve(LONG_COINS[name].matrix, PSI_SYM, LONG_T,
+                              LONG_MODES)
+        state = long_walk(name, LONG_T)
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
 
     @pytest.mark.parametrize("name", ["grover", "pi"])
@@ -161,6 +181,38 @@ class TestLongWalks:
         for t in (1, 2, 3, 10, 333, 1024, 2999, LONG_T):
             amp = fft_evolve(coin.matrix, PSI_SYM, t, 2 * t + 1)[t]
             assert abs(series[t] - np.sum(np.abs(amp) ** 2)) < 1e-12
+
+
+# X_T / T converges in law to the weak limit V (see
+# ``oracles.weak_limit_moments``), and each moment E_T = E[(X_T / T)^n]
+# misses E[V^n] by a 1/T term, which the Richardson value R = 2 E_4000 -
+# E_2000 cancels.  The remainder R - E[V^n] was measured at T = 1000/2000
+# and 2000/4000 (R from T and 2T): C below is the largest |R - E[V^n]| T^2
+# over both and n = 1, 2, 4, rounded up, and the bound is 2 C / 2000^2 plus
+# 1e-11 of rounding.  Grover, c1 and c2(0.4) fall as 1/T^2: the two
+# remainders of m2 and m4 are in the ratio 4 to within 10%, and m1 is 0 up
+# to rounding.  c2(1) is exact, m2 = m4 = 2/3, up to 1.5e-12.  For Fourier
+# the ratios are 3.2 to 4.7; for the Haar coins they range from -9 to 51, so
+# there C is the measured size, not a rate, and the first moment sets it.
+WEAK_LIMIT_C = {"grover": 0.081, "c1-0.6": 0.16, "c2-0.4": 0.098, "c2-1": 0.0,
+                "fourier": 3.7, "haar1": 5.4, "haar2": 4.4}
+
+
+class TestWeakLimit:
+    @pytest.mark.parametrize("name", WEAK_LIMIT_C)
+    def test_moments_match_weak_limit(self, name):
+        orders = (1, 2, 4)
+        limits = weak_limit_moments(WALK_COINS[name].matrix, PSI_SYM, orders)
+        moments = {}
+        for t in (LONG_T // 2, LONG_T):
+            p = probability_distribution(long_walk(name, t)).probabilities
+            v = np.arange(-t, t + 1) / t
+            moments[t] = [np.sum(p * v ** n) for n in orders]
+        bound = 2 * WEAK_LIMIT_C[name] / (LONG_T // 2) ** 2 + 1e-11
+        for n, limit, e_half, e_full in zip(orders, limits,
+                                           moments[LONG_T // 2],
+                                           moments[LONG_T]):
+            assert abs(2 * e_full - e_half - limit) <= bound, n
 
 
 def allocating_step(state, coin):
@@ -189,6 +241,12 @@ def allocating_origin_series(coin, psi, t_max):
     return series
 
 
+def assert_same_bits(got, expected):
+    """Equal as float64 bit patterns, so a -0.0 for 0.0 fails too."""
+    got, expected = (np.asarray(a, dtype=np.float64) for a in (got, expected))
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestInPlaceBuffer:
     # Stepping one buffer in place, over the support window or only the
     # backward light cone, must give bit for bit the amplitudes and origin
@@ -196,7 +254,13 @@ class TestInPlaceBuffer:
     COINS = {"grover": grover_coin(), "c2:1": coin_c2(1.0),
              "pi": permutation_coin(), "identity": Coin(np.eye(3)),
              "haar0": Coin(haar_unitary(0)), "haar1": Coin(haar_unitary(1)),
-             "haar2": Coin(haar_unitary(2))}
+             "haar2": Coin(haar_unitary(2)),
+             "orth+": Coin(real_orthogonal(11, 1)),
+             "orth-": Coin(real_orthogonal(12, -1))}
+    # A real coin from a real state steps in float64; allocating_step keeps
+    # the complex product, so these pin the real path to its bits.
+    REAL_COINS = {name: coin for name, coin in COINS.items()
+                  if name in ("grover", "c2:1", "pi", "orth+", "orth-")}
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
@@ -206,6 +270,16 @@ class TestInPlaceBuffer:
         assert got.time == steps
         assert np.array_equal(got.amplitudes,
                               allocating_evolve(state, coin, steps).amplitudes)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+    def test_evolve_from_real_state(self, coin, steps):
+        state = initial_state(PSI_REAL)
+        got = evolve(state, coin, steps)
+        expected = allocating_evolve(state, coin, steps)
+        assert np.array_equal(got.amplitudes, expected.amplitudes)
+        assert_same_bits(probability_distribution(got).probabilities,
+                         probability_distribution(expected).probabilities)
 
     @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
     def test_evolve_from_later_state(self, coin):
@@ -244,6 +318,36 @@ class TestInPlaceBuffer:
     def test_origin_series_large_window(self, coin):
         assert np.array_equal(origin_series(coin, PSI_SYM, 1001),
                               allocating_origin_series(coin, PSI_SYM, 1001))
+
+    @pytest.mark.parametrize("coin", REAL_COINS.values(), ids=REAL_COINS.keys())
+    def test_real_walk_large_window(self, coin):
+        state = initial_state(PSI_REAL)
+        got = evolve(state, coin, 1500)
+        expected = allocating_evolve(state, coin, 1500)
+        assert got.amplitudes.dtype == np.complex128
+        assert got.amplitudes.flags.c_contiguous
+        assert np.array_equal(got.amplitudes, expected.amplitudes)
+        assert_same_bits(probability_distribution(got).probabilities,
+                         probability_distribution(expected).probabilities)
+        assert_same_bits(origin_series(coin, PSI_REAL, 1001),
+                         allocating_origin_series(coin, PSI_REAL, 1001))
+
+    @pytest.mark.parametrize("coin, psi, dtype", [
+        (grover_coin(), PSI_SYM, np.float64),
+        (coin_c2(0.4), PSI_REAL, np.float64),
+        (Coin(real_orthogonal(12, -1)), PSI_LR, np.float64),
+        (grover_coin(), np.array([0.6, 0.8j, 0.0]), np.complex128),
+        (Coin(real_orthogonal(11, 1)), np.array([0.6, 0.0, 0.8j]),
+         np.complex128),
+        (coin_c1(0.6), PSI_SYM, np.complex128),
+        (Coin(haar_unitary(1)), PSI_REAL, np.complex128),
+    ], ids=["grover-sym", "c2-real", "orth-lr", "grover-imag", "orth-imag",
+            "c1-sym", "haar-real"])
+    def test_dtype_follows_the_data(self, coin, psi, dtype):
+        buf = next(_walk(initial_state(psi).amplitudes, coin, range(2), 2))
+        assert buf.dtype == dtype
+        assert evolve(initial_state(psi), coin, 2).amplitudes.dtype \
+            == np.complex128
 
     def test_step_is_one_evolve_step(self):
         state = evolve(initial_state(PSI_SYM), coin_c1(0.6), 4)

@@ -108,6 +108,14 @@ def invocations() -> list[tuple[str, ...]]:
         ("sweep", "--family", "c3", "--out", OUT),
         ("simulate", "--steps", "4000", "--out", OUT),
         ("localize", "--steps", "4000", "--out", OUT),
+        # Real coins from a real state step in float64, a real coin from a
+        # complex state in complex128: long walks on both sides.
+        *((cmd, "--steps", "4000", "--coin", "c2:0.9", "--out", OUT)
+          for cmd in ("simulate", "localize")),
+        ("simulate", "--steps", "777", "--coin", f"matrix:{WORK}/orth.json",
+         "--out", OUT),
+        ("simulate", "--steps", "777", "--coin", "grover", "--state",
+         "0.6,0,0,0.8,0,0", "--out", OUT),
         ("localize", "--grid", "128", "--out", OUT),
         *((cmd, "--out", f"{WORK}/missing/out")
           for cmd in ("simulate", "dispersion", "velocity", "localize")),
@@ -126,13 +134,15 @@ def invocations() -> list[tuple[str, ...]]:
 
 
 def write_inputs(work: Path) -> None:
-    """The seeded Haar coin file and the malformed coin files."""
+    """The seeded Haar and real orthogonal coin files, and the malformed ones."""
     rng = np.random.default_rng(2012)
     q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     haar = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
-    entries = [[float(z.real), float(z.imag)] for z in haar.ravel()]
-    (work / "haar.json").write_text(json.dumps(
-        {"family": "custom", "parameter": None, "matrix": entries}))
+    orth, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    for name, matrix in (("haar", haar), ("orth", orth)):
+        entries = [[float(z.real), float(z.imag)] for z in matrix.ravel()]
+        (work / f"{name}.json").write_text(json.dumps(
+            {"family": "custom", "parameter": None, "matrix": entries}))
     for i, record in enumerate(MALFORMED):
         (work / f"malformed{i}.json").write_text(
             record if isinstance(record, str) else json.dumps(record))
