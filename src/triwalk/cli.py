@@ -144,14 +144,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--steps is capped at {MAX_STEPS}")
     state = evolve(initial_state(psi), coin, args.steps)
     dist = probability_distribution(state)
-    _write_output(args, dist)
-    left, right = peak_positions(dist)
-    print(f"side peaks: left={left} right={right}")
+    # The numeric velocity can still fail, so it comes before any output.
     v = _analytic_velocity(coin)
     label = "analytic"
     if v is None:
         v = peak_velocities_numeric(coin, args.grid).v_right
         label = "numeric"
+    _write_output(args, dist)
+    left, right = peak_positions(dist)
+    print(f"side peaks: left={left} right={right}")
     print(f"predicted t*v_R = {args.steps * v:.3f} "
           f"(v_R = {v:.6f}, {label})")
     return 0

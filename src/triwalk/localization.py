@@ -11,6 +11,7 @@ band itself is read from the tracked dispersion, as its flattest branch
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -134,7 +135,9 @@ def localization_report(
     the bound states, which is why the flat-band flag is reported alongside
     the estimate instead of being inferred from it.
     """
-    if t_max + 1 < _MIN_SERIES:
+    # A short run of any real type is refused for its length, anything
+    # else by ``_count``, as ``origin_series`` refuses it.
+    if isinstance(t_max, Real) and t_max + 1 < _MIN_SERIES:
         raise ValueError(f"t_max must be at least {_MIN_SERIES - 1}: the "
                          "trapping estimate needs a series of at least "
                          f"{_MIN_SERIES} points")

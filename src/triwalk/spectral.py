@@ -27,8 +27,9 @@ out of (-pi, pi] across the zone), with finite-difference group
 velocities.  The flat branch, when present, is moved to index 2.  The
 sequential tracking rule defines the branches: each sample follows from
 the two before it.  It is solved in bulk, by a guess that is then checked
-against the rule at every sample at once, with the rule itself run only
-where the check fails, so the branches are those of the rule bit for bit.
+against the rule at every sample at once; from the first sample that
+fails the check the rule itself runs to the end, so the branches are those
+of the rule bit for bit.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ _PERMS = np.array(list(permutations(range(3))))
 # _COMPOSE[a, b] indexes the permutation _PERMS[a][_PERMS[b]].
 _COMPOSE = np.array([[_PERMS.tolist().index(list(a[b])) for b in _PERMS]
                      for a in _PERMS])
-# Samples run through the tracking rule after a failed guess, before the
-# rest of the grid is guessed again.
-_REPAIR_BLOCK = 16
 _TWO_PI = 2.0 * math.pi
 # Off-grid refinement stops once its bracket is narrower than this (rad).
 _ZOOM_RESOLUTION = 1e-10
@@ -202,14 +200,14 @@ def _continue_branches(raw: np.ndarray, prev: np.ndarray, prev2: np.ndarray):
 
 
 def _apply_rule(raw: np.ndarray, ks: np.ndarray, out: np.ndarray,
-                start: int, stop: int) -> int:
-    """Run the tracking rule sample by sample over [start, stop).
+                start: int) -> None:
+    """Run the tracking rule sample by sample from ``start`` to the end.
 
-    ``out[n + 1]`` holds sample n.  Returns the assignment index of the last
-    sample; raises ``BranchTrackingError`` at the first excessive jump.
+    ``out[n + 1]`` holds sample n.  Raises ``BranchTrackingError`` at the
+    first excessive jump.
     """
-    for n in range(start, stop):
-        values, best, jump = _continue_branches(raw[n], out[n], out[n - 1])
+    for n in range(start, len(raw)):
+        values, _, jump = _continue_branches(raw[n], out[n], out[n - 1])
         if jump > BRANCH_JUMP_THRESHOLD:
             raise BranchTrackingError(
                 f"branch jump {jump:.3g} rad exceeds threshold "
@@ -217,7 +215,6 @@ def _apply_rule(raw: np.ndarray, ks: np.ndarray, out: np.ndarray,
                 k=float(ks[n]),
             )
         out[n + 1] = values
-    return int(best)
 
 
 def _track(raw: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -228,9 +225,8 @@ def _track(raw: np.ndarray, ks: np.ndarray) -> np.ndarray:
     in bulk and then checked against the rule at every sample at once: an
     array that satisfies the recurrence bit for bit is its one solution.
     The guess continues each phase to its nearest neighbour in the next
-    sample.  At the first sample that fails the check the rule runs for
-    ``_REPAIR_BLOCK`` samples and the tail is guessed again; a second
-    failure runs the rule to the end.
+    sample.  From the first sample that fails the check the rule runs to
+    the end.
     """
     n = len(raw)
     out = np.empty((n + 1, 3))                  # out[0] repeats sample 0
@@ -238,29 +234,21 @@ def _track(raw: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # step[i]: the assignment that carries sample i onto its nearest
     # neighbours in sample i + 1, which is the rule with a zero slope.
     _, step, _ = _continue_branches(raw[1:], raw[:-1], raw[:-1])
-    start, perm = 1, _PERMS.tolist().index(np.argsort(raw[0]).tolist())
-    for block in (_REPAIR_BLOCK, n):
-        if start == n:
-            break
-        # Assignments of samples start - 1 .. n - 1 by a doubling scan.
-        scan = np.concatenate(([perm], step[start - 1:]))
-        shift = 1
-        while shift < scan.size:
-            scan[shift:] = _COMPOSE[scan[shift:], scan[:-shift]]
-            shift *= 2
-        phases = np.take_along_axis(raw[start - 1:], _PERMS[scan], axis=1)
-        winding = np.round((out[start] - phases[0]) / _TWO_PI) + np.cumsum(
-            np.round((phases[:-1] - phases[1:]) / _TWO_PI), axis=0)
-        out[start + 1:] = phases[1:] + _TWO_PI * winding
-        values, _, jump = _continue_branches(raw[start:], out[start:n],
-                                             out[start - 1:n - 1])
-        bad = np.any(values.view(np.int64) != out[start + 1:].view(np.int64),
-                     axis=1) | (jump > BRANCH_JUMP_THRESHOLD)
-        if not bad.any():
-            break
-        first = start + int(np.argmax(bad))
-        start = min(first + block, n)
-        perm = _apply_rule(raw, ks, out, first, start)
+    # Assignments of every sample by a doubling scan.
+    scan = np.append(_PERMS.tolist().index(np.argsort(raw[0]).tolist()), step)
+    shift = 1
+    while shift < scan.size:
+        scan[shift:] = _COMPOSE[scan[shift:], scan[:-shift]]
+        shift *= 2
+    phases = np.take_along_axis(raw, _PERMS[scan], axis=1)
+    # phases[0] is out[1], the sorted sample 0, which winds no turn.
+    winding = np.cumsum(np.round((phases[:-1] - phases[1:]) / _TWO_PI), axis=0)
+    out[2:] = phases[1:] + _TWO_PI * winding
+    values, _, jump = _continue_branches(raw[1:], out[1:n], out[:n - 1])
+    bad = np.any(values.view(np.int64) != out[2:].view(np.int64),
+                 axis=1) | (jump > BRANCH_JUMP_THRESHOLD)
+    if bad.any():
+        _apply_rule(raw, ks, out, 1 + int(np.argmax(bad)))
     # C order, as the loop wrote it: a strided view sums its means in
     # another order, with other rounding.
     return np.ascontiguousarray(out[1:].T)

@@ -559,6 +559,28 @@ class TestErrorPaths:
             "message": "Unable to allocate 1.07 GiB for an array"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("error, code", [
+        (MemoryError("Unable to allocate 1.07 GiB for an array"), 2),
+        (cli.InvariantViolation("peak velocity breaks the light cone"), 3),
+    ], ids=["MemoryError", "InvariantViolation"])
+    def test_simulate_fails_before_output(self, tmp_path, capsys, monkeypatch,
+                                          error, code):
+        # A coin without a closed-form velocity takes the numeric one, which
+        # can still fail; then no file is written and nothing is printed.
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "peak_velocities_numeric", fail)
+        path = tmp_path / "coin.json"
+        path.write_text(fourier_coin().to_json())
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--coin", f"matrix:{path}", "--steps", "20",
+                     "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == type(error).__name__
+        assert not out.exists()
+
     def test_invalid_matrix_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

@@ -307,6 +307,13 @@ class TestLocalizationReport:
         with pytest.raises(ValueError, match="^t_max must be at least 199: "):
             localization_report(grover_coin(), PSI_SYM, t_max)
 
+    @pytest.mark.parametrize("t_max", ["300", None])
+    def test_non_number_run_rejected(self, t_max):
+        # As origin_series refuses it: a ValueError, not a TypeError.
+        with pytest.raises(ValueError, match="^t_max must be a non-negative "
+                                             "integer, got "):
+            localization_report(grover_coin(), PSI_SYM, t_max)
+
     def test_float_run_rejected_before_flat_band_scan(self, monkeypatch):
         def scan(*args, **kwargs):
             pytest.fail("flat band scanned before t_max was checked")

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     dense_evolve,
+    dispersion_analytic,
     fft_evolve,
     haar_unitary,
     random_real_state,
@@ -213,6 +214,88 @@ class TestWeakLimit:
                                            moments[LONG_T // 2],
                                            moments[LONG_T]):
             assert abs(2 * e_full - e_half - limit) <= bound, n
+
+
+# The ballistic front lags the light-cone position v_R t by the Airy law
+# (stationary phase at the slope extremum k0, where omega'' = 0): the peak
+# sits at v_R t + a'_1 (|omega'''(k0)| t / 2)^(1/3), a'_1 the first zero of
+# Ai'.  v_R, k0 and omega''' come from the closed-form bands alone.
+AI_PRIME_ZERO = -1.01879297
+
+
+def front_law(family, parameter):
+    """(v_R, |omega'''(k0)|) of the right front of a family's walk.
+
+    c1 attains v_R at an interior maximum of the slope, located on a grid of
+    central differences, with omega''' from a central stencil there.  Grover
+    and c2 attain it at the cone k0 = 0+, where a central stencil would
+    straddle two sheets: the -arccos sheet is differenced from k = 0 on one
+    side only, and each difference Richardson-corrected.
+    """
+    sheet = 0 if family == "c1" else 1
+
+    def omega(k):
+        return dispersion_analytic(family, parameter, k)[sheet]
+
+    if family == "c1":
+        h = 1e-3
+        ks = np.linspace(0.01, math.pi - 0.01, 31401)
+        slopes = np.abs(omega(ks + h) - omega(ks - h)) / (2 * h)
+        k0, h = ks[np.argmax(slopes)], 1e-2
+        third = (omega(k0 + 2 * h) - 2 * omega(k0 + h) + 2 * omega(k0 - h)
+                 - omega(k0 - 2 * h)) / (2 * h ** 3)
+        return slopes.max(), abs(third)
+
+    def first(h):
+        return (omega(h) - omega(0.0)) / h
+
+    def third(h):
+        return (omega(3 * h) - 3 * omega(2 * h) + 3 * omega(h)
+                - omega(0.0)) / h ** 3
+
+    return (abs(2 * first(5e-4) - first(1e-3)),
+            abs(2 * third(5e-3) - third(1e-2)))
+
+
+FRONT_COINS = {"grover": ("grover", None, grover_coin()),
+               "c1-pi/4": ("c1", math.pi / 4, coin_c1(math.pi / 4)),
+               "c1-1.2": ("c1", 1.2, coin_c1(1.2)),
+               "c1-0.3": ("c1", 0.3, coin_c1(0.3)),
+               "c2-0.9": ("c2", 0.9, coin_c2(0.9)),
+               "c2-0.6": ("c2", 0.6, coin_c2(0.6)),
+               "c2-0.4": ("c2", 0.4, coin_c2(0.4))}
+
+
+def side_peaks(name, t):
+    return peak_positions(probability_distribution(
+        evolve(initial_state(PSI_SYM), FRONT_COINS[name][2], t)))
+
+
+class TestAiryFront:
+    @pytest.mark.parametrize("name,t", [
+        ("grover", 50), ("grover", 200),
+        *((name, t) for name in ("c1-pi/4", "c1-1.2", "c2-0.9", "c2-0.6")
+          for t in (50, 200, 1000)),
+        ("c1-0.3", 200),
+    ])
+    def test_front_peak_follows_airy_law(self, name, t):
+        # Where the half-line maximum is the front lobe, it lies within one
+        # site of the law on both sides.  Not pinned: c1(0.3) at t = 50,
+        # whose exact walk peaks at 22 against a law of 20.67.
+        family, parameter, _ = FRONT_COINS[name]
+        v, third = front_law(family, parameter)
+        front = v * t + AI_PRIME_ZERO * (third * t / 2) ** (1 / 3)
+        left, right = side_peaks(name, t)
+        assert abs(right - front) <= 1 and abs(-left - front) <= 1
+
+    @pytest.mark.parametrize("name,t", [
+        ("grover", 1000), ("c2-0.4", 50), ("c2-0.4", 200), ("c2-0.4", 1000),
+        ("c1-0.3", 1000),
+    ])
+    def test_trapped_bump_outweighs_front(self, name, t):
+        # peak_positions takes each half-line's maximum; once the bound
+        # states outweigh the front lobe, that is the bump next to the origin.
+        assert side_peaks(name, t) == (-1, 1)
 
 
 def allocating_step(state, coin):

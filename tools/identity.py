@@ -117,6 +117,11 @@ def invocations() -> list[tuple[str, ...]]:
         ("simulate", "--steps", "777", "--coin", "grover", "--state",
          "0.6,0,0,0.8,0,0", "--out", OUT),
         ("localize", "--grid", "128", "--out", OUT),
+        # Branch tracking where the guess fails at the default grid: the
+        # rule runs from the touching at k = pi to the end for c2(1), and
+        # over almost the whole grid for the degenerate pair of pi.
+        *(("dispersion", "--grid", "4096", "--coin", spec, "--out", OUT)
+          for spec in ("c2:1.0", "pi")),
         *((cmd, "--out", f"{WORK}/missing/out")
           for cmd in ("simulate", "dispersion", "velocity", "localize")),
         *(("simulate", "--coin", f"matrix:{WORK}/malformed{i}.json",
