@@ -128,8 +128,10 @@ def _analytic_velocity(coin: Coin) -> float | None:
         return 1.0 / math.sqrt(3.0)
     if coin.family is CoinFamily.PERMUTATION_PI:
         return 0.0
-    if coin.family is CoinFamily.C1 and coin.parameter <= math.pi / 2.0:
-        return peak_velocity_c1(coin.parameter)
+    if coin.family is CoinFamily.C1:
+        # c1(pi - phi) is the complex conjugate of c1(phi), with the same
+        # peak velocities.
+        return peak_velocity_c1(min(coin.parameter, math.pi - coin.parameter))
     if coin.family is CoinFamily.C2:
         return peak_velocity_c2(coin.parameter)
     return None
@@ -184,10 +186,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     results = _peak_velocities(np.array([c.matrix for c in coins]), args.grid,
                                left=False)
     rows = []
-    for p, coin, result in zip(params, coins, results):
+    for p, coin, (_, v_right, _) in zip(params, coins, results):
         v_ana = _analytic_velocity(coin)
         dev = linear_approx_deviation(p) if args.family == "c1" else v_ana - p
-        rows.append((p, v_ana, result.v_right, dev))
+        rows.append((p, v_ana, v_right, dev))
 
     keys = ("parameter", "v_analytic", "v_numeric", "deviation_from_linear")
     _write_text(args.out, _csv_text(",".join(keys), *zip(*rows))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coins import Coin, _count, _csv_text, _freeze, _to_json
-from .spectral import FLAT_BAND_TOL, dispersion_numeric
+from .spectral import DEFAULT_GRID, FLAT_BAND_TOL, dispersion_numeric
 from .walk import _walk, initial_state
 
 __all__ = [
@@ -79,7 +79,7 @@ def trapping_estimate(series) -> TrappingEstimate:
 
 
 def flat_band_detect(coin: Coin,
-                     n_samples: int = 1024) -> tuple[bool, complex | None]:
+                     n_samples: int = DEFAULT_GRID) -> tuple[bool, complex | None]:
     """Whether the flattest eigenphase branch is constant in k.
 
     A constant branch is a point spectrum of the walk.  The flat band is
@@ -125,7 +125,7 @@ def localization_report(
     psi_c,
     t_max: int = 1000,
     *,
-    n_samples: int = 1024,
+    n_samples: int = DEFAULT_GRID,
 ) -> LocalizationReport:
     """Run the walk and assemble the full localization summary.
 

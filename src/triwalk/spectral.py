@@ -62,9 +62,6 @@ BRANCH_JUMP_THRESHOLD = math.pi / 4
 FLAT_BAND_TOL = 1e-8
 
 _PERMS = np.array(list(permutations(range(3))))
-# _COMPOSE[a, b] indexes the permutation _PERMS[a][_PERMS[b]].
-_COMPOSE = np.array([[_PERMS.tolist().index(list(a[b])) for b in _PERMS]
-                     for a in _PERMS])
 _TWO_PI = 2.0 * math.pi
 # Off-grid refinement stops once its bracket is narrower than this (rad).
 _ZOOM_RESOLUTION = 1e-10
@@ -199,24 +196,6 @@ def _continue_branches(raw: np.ndarray, prev: np.ndarray, prev2: np.ndarray):
     return values, best, np.abs(values - prev).max(axis=-1)
 
 
-def _apply_rule(raw: np.ndarray, ks: np.ndarray, out: np.ndarray,
-                start: int) -> None:
-    """Run the tracking rule sample by sample from ``start`` to the end.
-
-    ``out[n + 1]`` holds sample n.  Raises ``BranchTrackingError`` at the
-    first excessive jump.
-    """
-    for n in range(start, len(raw)):
-        values, _, jump = _continue_branches(raw[n], out[n], out[n - 1])
-        if jump > BRANCH_JUMP_THRESHOLD:
-            raise BranchTrackingError(
-                f"branch jump {jump:.3g} rad exceeds threshold "
-                f"{BRANCH_JUMP_THRESHOLD:.3g} at k = {ks[n]:.6f}",
-                k=float(ks[n]),
-            )
-        out[n + 1] = values
-
-
 def _track(raw: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Solve the tracking recurrence over the grid; returns (3, n) branches.
 
@@ -225,8 +204,9 @@ def _track(raw: np.ndarray, ks: np.ndarray) -> np.ndarray:
     in bulk and then checked against the rule at every sample at once: an
     array that satisfies the recurrence bit for bit is its one solution.
     The guess continues each phase to its nearest neighbour in the next
-    sample.  From the first sample that fails the check the rule runs to
-    the end.
+    sample.  From the first sample that fails the check the rule runs
+    sample by sample to the end, and raises ``BranchTrackingError`` at the
+    first jump above ``BRANCH_JUMP_THRESHOLD``.
     """
     n = len(raw)
     out = np.empty((n + 1, 3))                  # out[0] repeats sample 0
@@ -234,21 +214,32 @@ def _track(raw: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # step[i]: the assignment that carries sample i onto its nearest
     # neighbours in sample i + 1, which is the rule with a zero slope.
     _, step, _ = _continue_branches(raw[1:], raw[:-1], raw[:-1])
-    # Assignments of every sample by a doubling scan.
-    scan = np.append(_PERMS.tolist().index(np.argsort(raw[0]).tolist()), step)
+    # Row i of scan holds the flat indices into raw of sample i's phases,
+    # in branch order.  A doubling scan composes the steps: row i - shift
+    # plus 3 * shift points into row i, whose entries are read there.
+    scan = np.vstack([np.argsort(raw[0]), _PERMS[step]])
+    scan += np.arange(0, 3 * n, 3)[:, None]
     shift = 1
-    while shift < scan.size:
-        scan[shift:] = _COMPOSE[scan[shift:], scan[:-shift]]
+    while shift < n:
+        scan[shift:] = np.take(scan, scan[:-shift] + 3 * shift)
         shift *= 2
-    phases = np.take_along_axis(raw, _PERMS[scan], axis=1)
+    phases = np.take(raw, scan)
     # phases[0] is out[1], the sorted sample 0, which winds no turn.
     winding = np.cumsum(np.round((phases[:-1] - phases[1:]) / _TWO_PI), axis=0)
     out[2:] = phases[1:] + _TWO_PI * winding
     values, _, jump = _continue_branches(raw[1:], out[1:n], out[:n - 1])
     bad = np.any(values.view(np.int64) != out[2:].view(np.int64),
                  axis=1) | (jump > BRANCH_JUMP_THRESHOLD)
-    if bad.any():
-        _apply_rule(raw, ks, out, 1 + int(np.argmax(bad)))
+    # From the first sample that fails the check, the rule itself.
+    for i in range(1 + int(np.argmax(bad)) if bad.any() else n, n):
+        values, _, jump = _continue_branches(raw[i], out[i], out[i - 1])
+        if jump > BRANCH_JUMP_THRESHOLD:
+            raise BranchTrackingError(
+                f"branch jump {jump:.3g} rad exceeds threshold "
+                f"{BRANCH_JUMP_THRESHOLD:.3g} at k = {ks[i]:.6f}",
+                k=float(ks[i]),
+            )
+        out[i + 1] = values
     # C order, as the loop wrote it: a strided view sums its means in
     # another order, with other rounding.
     return np.ascontiguousarray(out[1:].T)
@@ -332,9 +323,9 @@ def _cubic_roots(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
 def _cubic_slopes(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
     """Slopes d omega/dk of the three roots of det(lambda - U(k)) at every k.
 
-    Returns ``(slopes, near)``: slopes of shape ``(em.size, 3)`` in no
-    particular band order, and a mask of the samples whose slopes are not
-    to be trusted.  Implicit differentiation of p (see ``_cubic_roots``)
+    Returns ``(slopes, near)``: band-major slopes of shape ``(3, em.size)``
+    in no particular band order, and a mask of the samples whose slopes are
+    not to be trusted.  Implicit differentiation of p (see ``_cubic_roots``)
     gives d lambda/dk = -(dp/dk) / (dp/dlambda), and the slope is
     Re(lambda' / (i lambda)); with z = (dp/dk) conj(lambda) that is
     (Re z Im p' - Im z Re p') / |p'|^2, in real arithmetic.  A sample where
@@ -356,7 +347,7 @@ def _cubic_slopes(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
         np.multiply(z.real, dp.imag, out=row)
         row -= z.imag * dp.real
         row /= np.where(small, 1.0, size * size)
-    return slopes.T, near
+    return slopes, near
 
 
 def _flat_bound(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
@@ -420,16 +411,6 @@ def _flat_bound(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
     return bound
 
 
-def _extremes(slopes: np.ndarray):
-    """The largest and the smallest of each row of an (n, 3) slope array.
-
-    Two elementwise passes over the columns; numpy's reductions along a
-    length-3 axis take about ten times as long, for the same values.
-    """
-    s0, s1, s2 = slopes.T
-    return np.maximum(np.maximum(s0, s1), s2), np.minimum(np.minimum(s0, s1), s2)
-
-
 def _zoom(objective, centers: np.ndarray, half_width: float):
     """Maximize ``objective`` near each of ``centers`` by shrinking brackets.
 
@@ -481,7 +462,8 @@ class PeakVelocityResult:
     k0: float | None
 
     def __post_init__(self) -> None:
-        if abs(self.v_right) > 1.0 + 1e-9 or abs(self.v_left) > 1.0 + 1e-9:
+        # A NaN compares false, so a NaN velocity fails the check too.
+        if not all(abs(v) <= 1.0 + 1e-9 for v in (self.v_left, self.v_right)):
             raise InvariantViolation(
                 f"peak velocity ({self.v_left}, {self.v_right}) breaks the "
                 "one-site-per-step light cone"
@@ -523,12 +505,15 @@ def peak_velocities_numeric(coin: Coin,
     although it is printed with 17 digits, because the slope is flat to
     second order at its maximum (see ``_zoom``).
     """
-    return _peak_velocities(coin.matrix[None], n_samples)[0]
+    return PeakVelocityResult(*_peak_velocities(coin.matrix[None], n_samples)[0])
 
 
 def _peak_velocities(matrices: np.ndarray, n_samples: int,
-                     left: bool = True) -> list[PeakVelocityResult]:
+                     left: bool = True) -> list[tuple]:
     """``peak_velocities_numeric`` for every coin of a (P, 3, 3) stack.
+
+    Returns one ``(v_left, v_right, k0)`` triple per coin, the fields of its
+    ``PeakVelocityResult``, which the caller builds if it needs one.
 
     Each coin takes its own grid pass, which keeps only the grid samples the
     zoom starts from.  One ``_zoom`` then refines the centres of every coin
@@ -537,7 +522,8 @@ def _peak_velocities(matrices: np.ndarray, n_samples: int,
     still solved on its own, so every result has the bits of a call per
     coin.  With ``left=False`` only the maximum is refined, for callers that
     read v_right and k0 alone: those keep their bits, since each centre is
-    refined on its own, and v_left is NaN unless the coin is flat.
+    refined on its own, and v_left is NaN unless the coin is flat, so such
+    a triple makes no ``PeakVelocityResult``.
 
     A coin whose unmarked cubic slopes all lie within ``FLAT_BAND_TOL / 2``
     of zero is offered to ``_flat_bound``; when that bound too stays below
@@ -553,7 +539,7 @@ def _peak_velocities(matrices: np.ndarray, n_samples: int,
     live = np.zeros(len(matrices), dtype=bool)
     for i, matrix in enumerate(matrices):
         slopes, near = _cubic_slopes(matrix, em, ep)
-        top, bottom = _extremes(slopes)
+        top, bottom = slopes.max(axis=0), slopes.min(axis=0)
         # Slopes lie in [-1, 1], so +-2 stand for "no unmarked sample".
         high = top.max(where=~near, initial=-2.0)
         low = bottom.min(where=~near, initial=2.0)
@@ -561,12 +547,13 @@ def _peak_velocities(matrices: np.ndarray, n_samples: int,
                 and np.all(_flat_bound(matrix, em, ep) < FLAT_BAND_TOL / 2)):
             continue
         exact = near | (top >= high - _TIE_MARGIN) | (bottom <= low + _TIE_MARGIN)
-        top[exact], bottom[exact] = _extremes(_band_slopes(matrix, ks[exact]))
+        fixed = _band_slopes(matrix, ks[exact])
+        top[exact], bottom[exact] = fixed.max(axis=1), fixed.min(axis=1)
         if max(top.max(), -bottom.min()) >= FLAT_BAND_TOL:
             live[i] = True
             centers[i] = ks[[np.argmax(top), np.argmin(bottom)]]
     sign = np.array([1.0, -1.0] if left else [1.0])[:, None, None]
-    results = [PeakVelocityResult(0.0, 0.0, None)] * len(matrices)
+    results = [(0.0, 0.0, None)] * len(matrices)
     index = np.flatnonzero(live)
     for start in range(0, index.size, _ZOOM_BLOCK):
         block = index[start:start + _ZOOM_BLOCK]
@@ -576,8 +563,7 @@ def _peak_velocities(matrices: np.ndarray, n_samples: int,
         for i, k_i, v_i in zip(block, k, v):
             k0 = float(k_i[0]) % _TWO_PI
             k0 = min(k0, _TWO_PI - k0) if ks.size >= 256 else None
-            v_left = -float(v_i[1]) if left else math.nan
-            results[i] = PeakVelocityResult(v_left, float(v_i[0]), k0)
+            results[i] = (-float(v_i[1]) if left else math.nan, float(v_i[0]), k0)
     return results
 
 

@@ -218,9 +218,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("coin, front, label", [
         ("grover", "28.868", "analytic"),
-        # c1 reduces phi mod pi; 2.0 lies above pi/2, past the closed form,
-        # and the numeric value equals peak_velocity_c1(pi - 2.0).
-        ("c1:2.0", "7.226", "numeric"),
+        # c1 reduces phi mod pi; 2.0 lies above pi/2, where c1(phi) is the
+        # conjugate of c1(pi - phi), so the closed form at pi - 2.0 applies.
+        ("c1:2.0", "7.226", "analytic"),
     ])
     def test_predicted_front(self, tmp_path, capsys, coin, front, label):
         code = main(["simulate", "--coin", coin, "--steps", "50",
@@ -229,6 +229,17 @@ class TestSimulate:
         predicted = capsys.readouterr().out.splitlines()[-1]
         assert predicted.startswith(f"predicted t*v_R = {front} ")
         assert predicted.endswith(f", {label})")
+
+    def test_c1_past_half_pi_takes_closed_form(self, tmp_path, capsys,
+                                                monkeypatch):
+        def numeric(*args):
+            raise AssertionError("numeric velocity search ran")
+
+        monkeypatch.setattr(cli, "peak_velocities_numeric", numeric)
+        assert main(["simulate", "--coin", "c1:2.0", "--steps", "50",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "predicted t*v_R = 7.226 (v_R = 0.144512, analytic)")
 
     def test_negative_zero_parameter(self, tmp_path, capsys):
         # c2 keeps no sign of zero: c2:-0 prints v_R = 0.000000, not -0.
@@ -686,7 +697,7 @@ class TestOutputBytes:
 
     def test_sweep(self, tmp_path, monkeypatch):
         # c2 at rho = 0 and 1: the analytic velocity is rho, the deviation 0.
-        result = PeakVelocityResult(-0.1, 0.1, None)
+        result = (-0.1, 0.1, None)
         monkeypatch.setattr(cli, "_peak_velocities",
                             lambda matrices, grid, left: [result] * len(matrices))
         for fmt in ("csv", "json"):

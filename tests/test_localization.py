@@ -9,6 +9,7 @@ import triwalk.localization as localization
 from oracles import (dispersion_analytic, flat_band_trapped_probability,
                      flat_cubic_residual, flat_eigenvalue, haar_unitary,
                      random_state)
+from triwalk.cli import build_parser, main, parse_state
 from triwalk.coins import (
     Coin,
     coin_c1,
@@ -322,6 +323,15 @@ class TestLocalizationReport:
         with pytest.raises(ValueError, match="^t_max must be a non-negative "
                                              "integer, got 300.0$"):
             localization_report(grover_coin(), PSI_SYM, 300.0)
+
+    def test_default_grid_is_the_cli_default(self, tmp_path):
+        # The library's default report is the one `localize` writes.
+        out = tmp_path / "loc.json"
+        argv = ["localize", "--steps", "300", "--out", str(out)]
+        psi = parse_state(build_parser().parse_args(argv).state)
+        assert main(argv) == 0
+        assert out.read_text() == \
+            localization_report(grover_coin(), psi, 300).to_json()
 
     def test_series_csv(self):
         report = localization_report(grover_coin(), PSI_SYM, 250)

@@ -1,5 +1,7 @@
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,3 +104,20 @@ def test_only_cli_opens_files():
         opened[path.name] = [n for n in names if n in _FILE_OPENERS]
     assert "open" in opened.pop("cli.py")
     assert not {name: calls for name, calls in opened.items() if calls}
+
+
+def test_size_tool_counts_this_checkout():
+    # tools/size.py: one row per module, totals that add the rows up, and
+    # the package's public names.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "size.py"
+    out = subprocess.run([sys.executable, str(tool)], check=True, text=True,
+                         capture_output=True).stdout.splitlines()
+    header, *table, total, names = out
+    assert header.split() == ["module", "lines", "code"]
+    modules = sorted(p.name for p in Path(triwalk.__file__).parent.glob("*.py"))
+    assert [row.split()[0] for row in table] == modules
+    counts = [[int(x) for x in row.split()[1:]] for row in table]
+    assert total.split()[0] == "total"
+    assert [int(x) for x in total.split()[1:]] == [sum(c) for c in zip(*counts)]
+    assert all(0 < code < lines for lines, code in counts)
+    assert names == f"public names: {len(triwalk.__all__)}"

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 
 import triwalk.spectral as spectral
 from oracles import dispersion_analytic, haar_unitary, propagators
-from triwalk.coins import (Coin, coin_c1, coin_c2, fourier_coin, grover_coin,
-                           permutation_coin)
+from triwalk.coins import (Coin, InvariantViolation, coin_c1, coin_c2,
+                           fourier_coin, grover_coin, permutation_coin)
 from triwalk.spectral import (
     BranchTrackingError,
     DispersionTable,
@@ -377,6 +377,13 @@ class TestPeakVelocitiesNumeric:
         assert data.pop("method") == "numeric"
         assert PeakVelocityResult(**data) == res
 
+    @pytest.mark.parametrize("v_left, v_right", [(math.nan, 0.5),
+                                                 (-0.5, math.nan)])
+    def test_light_cone_refuses_nan(self, v_left, v_right):
+        # NaN is no velocity: its record would print NaN, which is not JSON.
+        with pytest.raises(InvariantViolation, match="light cone"):
+            PeakVelocityResult(v_left, v_right, None)
+
 
 def eigenvector_peak_search(coin: Coin, n: int):
     """The peak search with eigenvector slopes on every grid sample."""
@@ -586,23 +593,14 @@ class TestBatchedPeakSearch:
 
     @staticmethod
     def batch(coins, n):
-        results = spectral._peak_velocities(
-            np.array([c.matrix for c in coins]), n)
-        return bits((r.v_left, r.v_right, r.k0) for r in results)
+        return bits(spectral._peak_velocities(
+            np.array([c.matrix for c in coins]), n))
 
     @pytest.mark.parametrize("n", [16, 17, 256, 4096])
     def test_mixed_stack_matches_each_coin(self, n):
         coins = list(self.MIXED.values())
         assert self.batch(coins, n) == bits(
             eigenvector_peak_search(c, n) for c in coins)
-
-    def test_extremes_match_row_reductions(self):
-        rng = np.random.default_rng(5)
-        slopes = rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0], size=(512, 3))
-        slopes = np.vstack([slopes, rng.uniform(-1, 1, size=(512, 3))])
-        top, bottom = spectral._extremes(slopes)
-        assert np.array_equal(top, slopes.max(axis=1))
-        assert np.array_equal(bottom, slopes.min(axis=1))
 
     def test_all_flat_stack_runs_no_zoom(self, monkeypatch):
         def no_zoom(*args):
@@ -611,8 +609,7 @@ class TestBatchedPeakSearch:
         monkeypatch.setattr(spectral, "_zoom", no_zoom)
         coins = [coin_c1(math.pi / 2), coin_c2(0.0), permutation_coin()]
         assert spectral._peak_velocities(
-            np.array([c.matrix for c in coins]), 256) == [
-                PeakVelocityResult(0.0, 0.0, None)] * 3
+            np.array([c.matrix for c in coins]), 256) == [(0.0, 0.0, None)] * 3
 
     def test_stack_larger_than_one_block(self, monkeypatch):
         blocks = []
