@@ -169,16 +169,19 @@ class Coin:
 
 
 # CSV cell format of a column, by the type of its first value, else str().
-# 17 significant digits read back to the same double.
-_CSV_CELLS = {float: "%.17g", type(None): ""}
+# 17 significant digits read back to the same double; a None column prints
+# empty cells.
+_CSV_CELLS = {float: "%.17g", type(None): "%.0s"}
 
 
 def _csv_text(header: str, *columns) -> str:
     """The ``header`` line, then one CSV line per row of ``columns``."""
     cols = [np.asarray(c).tolist() for c in columns]
     row = ",".join(_CSV_CELLS.get(type(c[0]), "%s") for c in cols) + "\n"
-    values = zip(*(c for c in cols if c[0] is not None))
-    return header + "\n" + "".join(row % v for v in values)
+    flat = [None] * (len(cols) * len(cols[0]))
+    for i, c in enumerate(cols):
+        flat[i::len(cols)] = c
+    return header + "\n" + row * len(cols[0]) % tuple(flat)
 
 
 def _encode(obj):

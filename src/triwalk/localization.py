@@ -45,8 +45,8 @@ def origin_series(coin: Coin, psi_c, t_max: int) -> np.ndarray:
     """Origin probability p(0, t) for t = 0 .. t_max.
 
     Only the backward light cone |m| <= min(t, t_max - t) can still reach
-    the origin by t_max, so the walk steps just that window, in a buffer of
-    ``2 * (t_max // 2 + 1) + 1`` sites: about half the work of a full
+    the origin by t_max, so the walk steps just that window, in two buffers
+    of ``2 * (t_max // 2 + 1) + 1`` sites: about half the work of a full
     ``evolve``, with the same amplitudes on the cone.
     """
     if _count(t_max, "t_max") < 1:

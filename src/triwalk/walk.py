@@ -3,12 +3,16 @@
 One step applies the coin to the amplitude triple at every site and then
 shifts: the L component moves one site left, S stays, R moves one site
 right.  After t steps the walker occupies at most the window [-t, t], and a
-``WalkState`` stores exactly that window.  A walk is stepped in place in one
-component-major buffer wide enough for its last step (see ``_walk``).  A
-walk whose coin and starting amplitudes are real (Grover, every c2, the
-permutation coin, the state (1, -1, 1)/sqrt(3)) stays real, so it steps in
-``float64`` with the bits of the complex product.  No renormalization is
-ever applied; norm drift is a monitored invariant.
+``WalkState`` stores exactly that window.  A walk steps between two
+component-major buffers wide enough for its last step: each step's coin
+product is written straight into its shifted place in the other buffer
+(see ``_walk``).  A complex walk, whose product comes from BLAS, makes it
+in a C-ordered product buffer first and copies it over, so that its bits
+stay those of the C-ordered product.  A walk whose coin and starting
+amplitudes are real (Grover, every c2, the permutation coin, the state
+(1, -1, 1)/sqrt(3)) stays real, so it steps in ``float64`` with the bits
+of the complex product.  No renormalization is ever applied; norm drift
+is a monitored invariant.
 """
 
 from __future__ import annotations
@@ -100,51 +104,66 @@ def initial_state(psi_c) -> WalkState:
 
 
 def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):
-    """Step one buffer in place; yield it first and after each step.
+    """Step between two buffers; yield the current one first and after each.
 
-    Row j of the zeroed ``(3, 2 * half + 1)`` buffer holds component j (L, S,
-    R) at site ``column - half``; it starts with ``amplitudes``, a window
-    centred on the origin.  For each radius r, sites |m| <= r get the coin as
-    one matmul of the window's column-major view into a C-ordered product
-    buffer, then the shift: three contiguous row writes over |m| <= r + 1.
-    ``half`` must exceed every radius; a radius below the support leaves the
-    sites beyond it stale.  BLAS packs the window operand, so its memory
-    order changes no bit; the C-ordered product and the operand roles of
-    ``window @ coin.matrix.T`` fix them (an F-ordered ``out`` would not).
+    Two zeroed ``(3, 2 * half + 1)`` buffers, kept as one ``(2, 3, width)``
+    array, take turns.  Row j of a buffer holds component j (L, S, R) at
+    site ``column - half``; the first starts with ``amplitudes``, a window
+    centred on the origin.  For each radius r, the sites |m| <= r of the
+    current buffer get the coin as one matmul of the window's column-major
+    view, written into the other buffer through its ``shifted`` view.
+    Entry (m, j) of that view is ``buffer[j, m + j]``, so product row m
+    lands in ``shifted[m + lo - 1]``: L one site left, S in place and R one
+    site right.  ``half`` must exceed every radius; a radius below the
+    support leaves the sites beyond it stale.
+
+    A step writes every cell of the next support window but six, and those
+    are still +0.0: the buffer being written holds the state of two steps
+    earlier, whose support is two sites narrower.  In the shrinking half of
+    a light cone they lie outside the next window, like the stale sites.
 
     When neither the coin nor ``amplitudes`` has a nonzero imaginary part,
-    every amplitude stays real, so the buffer and product are ``float64`` and
-    the operand is the real view of ``coin.matrix.T``.  That view is strided
-    in both axes, so numpy's own matmul loop runs instead of BLAS; each entry
-    it computes is the k-ordered multiply-add chain that is the real part of
-    the complex product, whose imaginary terms add exact zeros.  So the bits
-    are kept, up to the sign of a zero amplitude; ``tests/test_walk.py``
-    pins this against the complex product.
+    every amplitude stays real, so the buffers are ``float64`` and the
+    operand is the real view of ``coin.matrix.T``.  That view is strided in
+    both axes, so numpy's own matmul loop runs instead of BLAS, whatever
+    the ``out``.  Each entry it computes is the k-ordered multiply-add chain
+    that is the real part of the complex product, whose imaginary terms add
+    exact zeros.  So the bits are kept, up to the sign of a zero amplitude;
+    ``tests/test_walk.py`` pins this against the complex product.
+
+    A complex walk runs through BLAS ``zgemm``, which packs the window
+    operand, so its memory order changes no bit.  A strided ``out`` would:
+    numpy hands it to the transposed product, whose bits differ.  So a
+    complex walk keeps a C-ordered product buffer and copies it into
+    ``shifted`` in one strided assignment.
     """
     coin_t, amps = coin.matrix.T, amplitudes.T
-    if not (coin_t.imag.any() or amps.imag.any()):
-        coin_t, amps = coin_t.real, amps.real
-    buf = np.zeros((3, 2 * half + 1), dtype=amps.dtype)
+    real = not (coin_t.imag.any() or amps.imag.any())
+    coin_t, amps = (coin_t.real, amps.real) if real else (coin_t, amps)
+    bufs = np.zeros((2, 3, 2 * half + 1), dtype=amps.dtype)
     t = len(amplitudes) // 2
-    buf[:, half - t:half + t + 1] = amps
-    product = np.empty((2 * half + 1, 3), dtype=amps.dtype)
-    yield buf
-    for r in radii:
+    bufs[0, :, half - t:half + t + 1] = amps
+    shifted = [np.ndarray((max(2 * half - 1, 0), 3), b.dtype, b, strides=(
+        b.itemsize, b.strides[0] + b.itemsize)) for b in bufs]
+    product = None if real else np.empty((2 * half + 1, 3), dtype=amps.dtype)
+    yield bufs[0]
+    for i, r in enumerate(radii):
         lo, hi = half - r, half + r + 1
-        prod = np.matmul(buf[:, lo:hi].T, coin_t, out=product[:hi - lo])
-        buf[0, lo - 1:hi - 1] = prod[:, 0]  # L moves to m - 1
-        buf[1, lo:hi] = prod[:, 1]          # S stays
-        buf[2, lo + 1:hi + 1] = prod[:, 2]  # R moves to m + 1
-        buf[0, hi - 1] = buf[2, lo] = 0
-        yield buf
+        window = bufs[i % 2, :, lo:hi].T
+        out = shifted[1 - i % 2][lo - 1:hi - 1]
+        if real:
+            np.matmul(window, coin_t, out=out)
+        else:
+            out[...] = np.matmul(window, coin_t, out=product[:hi - lo])
+        yield bufs[1 - i % 2]
 
 
 def evolve(state: WalkState, coin: Coin, steps: int) -> WalkState:
     """Apply ``steps`` walk steps.
 
-    The walk runs in one zeroed ``(3, 2T + 1)`` buffer, T = ``state.time +
-    steps``, stepped in place over the support window [-t, t] at each time
-    t; the result holds a read-only C-ordered copy of its transpose.
+    The walk steps between two zeroed ``(3, 2T + 1)`` buffers, T =
+    ``state.time + steps``, over the support window [-t, t] at each time t;
+    the result holds a read-only C-ordered copy of the last one's transpose.
     """
     end = state.time + _count(steps, "step count")
     *_, buf = _walk(state.amplitudes, coin, range(state.time, end), end)

@@ -35,6 +35,7 @@ PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
 # closed form: 0.03367350481121475.  The projection onto the flat band
 # follows Inui, Konno and Segawa, Phys. Rev. E 72, 056112 (2005).
 GROVER_TRAPPED_LIMIT = (5.0 - 2.0 * math.sqrt(6.0)) / 3.0
+
 # Frozen Cesaro window averages of the engine's origin series at T = 1000.
 GROVER_WINDOWS_T1000 = (0.03441055122014052, 0.034226644512929026)
 
@@ -116,6 +117,18 @@ class TestOriginSeries:
                               origin_series(grover_coin(), PSI_SYM, 40))
 
 
+def c2_trapped_limit(rho: float) -> float:
+    """Bound-state projection limit of c2(rho) from PSI_SYM, in closed form.
+
+    With q = rho / (1 + sqrt(1 - rho^2)), the limit is
+    (q^2 + sqrt(2) q - 1)^2 / 6, from the residues at z = 0 and z = -q^2 of
+    the trapped amplitude's contour integral.  This factored form keeps its
+    digits at small rho; the expanded polynomial cancels there.
+    """
+    q = rho / (1.0 + math.sqrt(1.0 - rho * rho))
+    return (q * q + math.sqrt(2.0) * q - 1.0) ** 2 / 6.0
+
+
 class TestTrappingEstimate:
     def test_constant_series(self):
         est = trapping_estimate(np.ones(400))
@@ -167,6 +180,28 @@ class TestTrappingEstimate:
         limits = [flat_band_trapped_probability(coin_c1(phi).matrix, psi)
                   for phi in (0.0, 0.4, 0.8, 1.2, 1.5)]
         assert max(limits) - min(limits) < 1e-15  # measured 2.8e-16
+
+    @pytest.mark.parametrize("rho", [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
+                                     0.7, 0.8, 0.9, 0.95, 0.99])
+    def test_c2_limit_closed_form(self, rho):
+        # Measured at most 6.4e-16 away, at rho = 0.99.
+        oracle = flat_band_trapped_probability(coin_c2(rho).matrix, PSI_SYM,
+                                               n_modes=4096)
+        assert abs(oracle - c2_trapped_limit(rho)) < 1e-15
+
+    def test_c2_limit_meets_grover(self):
+        # c2(1/sqrt(3)) is the Grover coin.
+        assert abs(c2_trapped_limit(1.0 / math.sqrt(3.0))
+                   - GROVER_TRAPPED_LIMIT) < 1e-15
+
+    def test_c2_traps_nothing_at_sqrt_two_thirds(self):
+        # The band stays flat, but PSI_SYM has no overlap with it: the form
+        # reads 8e-33 and the oracle 4e-35, where the limit is 0.
+        rho = math.sqrt(2.0 / 3.0)
+        assert flat_band_detect(coin_c2(rho))[0]
+        assert c2_trapped_limit(rho) < 1e-30
+        assert flat_band_trapped_probability(coin_c2(rho).matrix, PSI_SYM,
+                                             n_modes=4096) < 1e-30
 
     @pytest.mark.parametrize("phi,t_max", [(0.3, 1000), (0.7, 1000),
                                            (1.2, 2000)])

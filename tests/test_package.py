@@ -106,6 +106,47 @@ def test_only_cli_opens_files():
     assert not {name: calls for name, calls in opened.items() if calls}
 
 
+def _imported_modules(tree: ast.AST) -> list[str]:
+    """Modules a source imports: statements, ``__import__`` and
+    ``importlib.import_module`` calls with a literal name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+        elif (isinstance(node, ast.Call)
+              and (getattr(node.func, "id", None) == "__import__"
+                   or getattr(node.func, "attr", None) == "import_module")):
+            names += [arg.value for arg in node.args[:1]
+                      if isinstance(arg, ast.Constant)]
+    return names
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import triwalk.walk as w", ["triwalk.walk"]),
+    ("from triwalk import spectral", ["triwalk"]),
+    ("from . import coins", ["."]),
+    ("def f():\n    import importlib\n"
+     "    return importlib.import_module('triwalk')",
+     ["importlib", "triwalk"]),
+    ("m = __import__('triwalk.coins')", ["triwalk.coins"]),
+])
+def test_imported_modules_finds_every_form(source, expected):
+    assert _imported_modules(ast.parse(source)) == expected
+
+
+def test_oracles_stay_independent():
+    # tests/oracles.py checks the package, so it must compute every
+    # reference without it: no import of triwalk in any form, nor a
+    # relative one.
+    path = Path(__file__).with_name("oracles.py")
+    names = _imported_modules(ast.parse(path.read_text()))
+    assert "numpy" in names
+    assert not [n for n in names
+                if n.startswith(".") or n.split(".")[0] == "triwalk"]
+
+
 def test_size_tool_counts_this_checkout():
     # tools/size.py: one row per module, totals that add the rows up, and
     # the package's public names.

@@ -299,7 +299,7 @@ class TestAiryFront:
 
 
 def allocating_step(state, coin):
-    """One step as a fresh window: the arithmetic the in-place buffer keeps."""
+    """One step as a fresh window: the arithmetic the two buffers keep."""
     mixed = state.amplitudes @ coin.matrix.T
     n = mixed.shape[0]
     out = np.zeros((n + 2, 3), dtype=np.complex128)
@@ -331,8 +331,9 @@ def assert_same_bits(got, expected):
 
 
 class TestInPlaceBuffer:
-    # Stepping one buffer in place, over the support window or only the
-    # backward light cone, must give bit for bit the amplitudes and origin
+    # Stepping between two buffers, each step's product written shifted
+    # into the other one, over the support window or only the backward
+    # light cone, must give bit for bit the amplitudes and origin
     # probabilities of allocating a new window at every step.
     COINS = {"grover": grover_coin(), "c2:1": coin_c2(1.0),
              "pi": permutation_coin(), "identity": Coin(np.eye(3)),
@@ -431,6 +432,42 @@ class TestInPlaceBuffer:
         assert buf.dtype == dtype
         assert evolve(initial_state(psi), coin, 2).amplitudes.dtype \
             == np.complex128
+
+    # The cells a step leaves unwritten keep the +0.0 of allocation, so
+    # every buffer of a growing walk is zero outside [-t, t], bit for bit.
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 40])
+    @pytest.mark.parametrize("start", [0, 9])
+    @pytest.mark.parametrize("coin, psi", [
+        (grover_coin(), PSI_SYM),
+        (coin_c2(0.4), PSI_REAL),
+        (grover_coin(), np.array([0.6, 0.8j, 0.0])),
+        (coin_c1(0.6), PSI_SYM),
+        (Coin(haar_unitary(1)), random_state(5)),
+    ], ids=["grover-sym", "c2-real", "grover-imag", "c1-sym", "haar"])
+    def test_zero_outside_support(self, coin, psi, start, steps):
+        state = evolve(initial_state(psi), coin, start)
+        # A later state reaches its edge sites.
+        assert np.abs(state.amplitudes[[0, -1]]).max(axis=1).min() > 0
+        end = start + steps
+        walk = _walk(state.amplitudes, coin, range(start, end), end)
+        # Each buffer is checked when it is yielded, before the next step.
+        for t, buf in enumerate(walk, start):
+            outside = np.ones(2 * end + 1, dtype=bool)
+            outside[end - t:end + t + 1] = False
+            edge = buf[:, outside]
+            for part in (edge.real, edge.imag):
+                assert_same_bits(part, np.zeros(part.shape))
+        assert t == end
+
+    def test_zero_step_walk(self):
+        # One site, no step: the walk yields its start and stops.
+        buf, = _walk(initial_state(PSI_SYM).amplitudes, grover_coin(),
+                     range(0), 0)
+        assert buf.shape == (3, 1)
+        assert_same_bits(buf[:, 0], PSI_SYM)
+        state = initial_state(random_state(5))
+        assert np.array_equal(evolve(state, coin_c1(0.6), 0).amplitudes,
+                              state.amplitudes)
 
     def test_step_is_one_evolve_step(self):
         state = evolve(initial_state(PSI_SYM), coin_c1(0.6), 4)

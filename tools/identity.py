@@ -109,8 +109,10 @@ def invocations() -> list[tuple[str, ...]]:
         ("simulate", "--steps", "4000", "--out", OUT),
         ("localize", "--steps", "4000", "--out", OUT),
         # Real coins from a real state step in float64, a real coin from a
-        # complex state in complex128: long walks on both sides.
-        *((cmd, "--steps", "4000", "--coin", "c2:0.9", "--out", OUT)
+        # complex state in complex128: long walks on both sides.  A complex
+        # coin's long walks take the BLAS product and its strided copy.
+        *((cmd, "--steps", "4000", "--coin", spec, "--out", OUT)
+          for spec in ("c2:0.9", "c1:0.6")
           for cmd in ("simulate", "localize")),
         ("simulate", "--steps", "777", "--coin", f"matrix:{WORK}/orth.json",
          "--out", OUT),
