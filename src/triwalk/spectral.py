@@ -11,15 +11,18 @@ Peak velocities and k0 use exact band slopes: by the Hellmann-Feynman
 theorem the band through the unit eigenvector v of U(k) has slope
 |v_R|^2 - |v_L|^2, so they need neither branch tracking nor differencing.
 A cheaper coarse pass over the grid only locates the extremes: it solves
-the characteristic cubic of U(k) in closed form and differentiates it
-implicitly.  The samples near a band touching, where the cubic is
-ill-conditioned, and those whose slope ties with the grid extreme then
-take the eigenvector slopes in one pass, so the extremes and the
-refinement that follows are those of the eigenvector slopes alone.  A coin
-whose bands the cubic finds all flat is first offered a closed-form bound
-on every band's slope, built from the spectral projector of its best
-separated eigenvalue; the flat endpoints of both families pass it and
-need no eigensolve at all.
+the characteristic cubic of U(k) in closed form, and each root's slope is
+read from its spectral projector adj(lambda - U) / p'(lambda), the one
+closed form behind every slope here.  The samples near a band touching,
+where the cubic is ill-conditioned, and those whose slope ties with the
+grid extreme then take the eigenvector slopes in one pass, so the extremes
+and the refinement that follows are those of the eigenvector slopes alone.
+Away from the touchings the projector slopes of all three bands are good
+to about 2e-10, so a coin whose bands they find all flat needs only its
+marked samples bounded: there a closed-form bound on every band's slope,
+built from the projector of the best separated eigenvalue, decides.  The
+flat endpoints of both families and the flat cyclic coins pass it and need
+no eigensolve at all.
 
 Dispersion tables track branches across the momentum grid by phase
 continuation against a linear prediction (unwrapped, so a branch may wind
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -297,7 +300,9 @@ def _cubic_roots(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
     modulus.  Returns three pairs (lambda, p'(lambda)) of arrays shaped
     like ``em``, one per root, in no particular order: arrays of one root
     each stay small enough to be reused by the allocator, where (n, 3)
-    arrays of all three are mapped and unmapped afresh at every step.
+    arrays of all three are mapped and unmapped afresh at every step.  A
+    pair, or a choice among the pairs at each sample, gives the root's
+    projector through ``_projector``.
     """
     a = em * matrix[0, 0] + matrix[1, 1] + ep * matrix[2, 2]
     d = np.linalg.det(matrix)
@@ -320,32 +325,61 @@ def _cubic_roots(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
     return roots
 
 
+def _projector(matrix: np.ndarray, lam: np.ndarray, dp: np.ndarray,
+               em: np.ndarray, ep: np.ndarray):
+    """The projector P = adj(lambda - U(k)) / p'(lambda), entry by entry.
+
+    ``lam`` and ``dp`` are a root of the characteristic cubic and p' there
+    (see ``_cubic_roots``), shaped like ``em`` and ``ep``; at a simple root
+    P projects onto the root's unit eigenvector v: P[i, j] = v_i conj(v_j).
+    With U = Phi C and Phi = diag(exp(-ik), 1, exp(ik)), lambda - U = Phi N
+    for N = lambda conj(Phi) - C, and adj(lambda - U) = adj(N) conj(Phi).
+    N differs from -C only on its diagonal d, so adj(N)_ij = C_ij d_l +
+    C_il C_lj off the diagonal, with l the third index, and adj(N)_ii =
+    d_a d_b - C_ab C_ba on it, with a and b the other two.  Returns a
+    function of (i, j) that builds P[i, j], shaped like ``lam``: an entry
+    at a time keeps every array as small as one root's.
+    """
+    d = (lam * ep - matrix[0, 0], lam - matrix[1, 1], lam * em - matrix[2, 2])
+    phase = (ep / dp, 1.0 / dp, em / dp)
+
+    def entry(i: int, j: int) -> np.ndarray:
+        if i == j:
+            a, b = i - 2, i - 1                 # the other two, mod 3
+            return (d[a] * d[b] - matrix[a, b] * matrix[b, a]) * phase[j]
+        l = 3 - i - j
+        return (matrix[i, j] * d[l] + matrix[i, l] * matrix[l, j]) * phase[j]
+    return entry
+
+
 def _cubic_slopes(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
     """Slopes d omega/dk of the three roots of det(lambda - U(k)) at every k.
 
     Returns ``(slopes, near)``: band-major slopes of shape ``(3, em.size)``
     in no particular band order, and a mask of the samples whose slopes are
-    not to be trusted.  Implicit differentiation of p (see ``_cubic_roots``)
-    gives d lambda/dk = -(dp/dk) / (dp/dlambda), and the slope is
-    Re(lambda' / (i lambda)); with z = (dp/dk) conj(lambda) that is
-    (Re z Im p' - Im z Re p') / |p'|^2, in real arithmetic.  A sample where
-    some |dp/dlambda| is below ``_CUBIC_GAP`` sits near a band touching,
-    where both steps lose accuracy; it is marked, and its slopes are left
-    for the caller to replace.  The slopes only choose samples, so they
-    need not have the bits of any other method: off the marked samples
-    they err by about 2e-10 at most, far below ``_TIE_MARGIN``.
+    not to be trusted.  Each root's slope is the Hellmann-Feynman slope
+    Re(P22 - P00) of its projector (see ``_projector``), whose numerator
+    adj(N)_22 exp(-ik) - adj(N)_00 exp(ik) is linear in lambda:
+    (lambda - C11)(C22 exp(ik) - C00 exp(-ik)) + C12 C21 exp(ik)
+    - C01 C10 exp(-ik).  A sample where some |p'(lambda)| is below
+    ``_CUBIC_GAP`` sits near a band touching, where the roots lose
+    accuracy; it is marked, and its slopes are left for the caller to
+    replace.  The slopes only choose samples, so they need not have the
+    bits of any other method: off the marked samples they err by about
+    2e-10 at most, far below ``_TIE_MARGIN``.
     """
-    da = 1j * (ep * matrix[2, 2] - em * matrix[0, 0])
-    d_da = np.linalg.det(matrix) * da.conj()
+    tilt = ep * matrix[2, 2] - em * matrix[0, 0]
+    rest = ep * (matrix[1, 2] * matrix[2, 1]) - em * (matrix[0, 1] * matrix[1, 0])
     slopes = np.empty((3, em.size))
     near = np.zeros(em.size, dtype=bool)
     for row, (lam, dp) in zip(slopes, _cubic_roots(matrix, em, ep)):
-        z = d_da - da * lam
+        top = (lam - matrix[1, 1]) * tilt + rest
         size = np.abs(dp)
         small = size < _CUBIC_GAP
         near |= small
-        np.multiply(z.real, dp.imag, out=row)
-        row -= z.imag * dp.real
+        # Re(top / p') = Re(top conj(p')) / |p'|^2, in real arithmetic.
+        np.multiply(top.real, dp.real, out=row)
+        row += top.imag * dp.imag
         row /= np.where(small, 1.0, size * size)
     return slopes, near
 
@@ -354,17 +388,15 @@ def _flat_bound(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
     """An upper bound on |slope| of every band of U(k) at each sample.
 
     At each sample the root lambda_s with the largest |p'| is simple, and
-    P = adj(lambda_s - U) / p'(lambda_s) projects onto its eigenvector, so
-    its band has slope s = P22 - P00 (Hellmann-Feynman, Delta = diag(-1, 0,
-    1)).  The other two slopes are Rayleigh quotients of Delta on the range
-    of I - P, bounded by the eigenvalues mu1, mu2 of E = (I - P) Delta
-    (I - P), whose entries are E_ij = delta_ij Delta_ii + P_ij (s - Delta_ii
-    - Delta_jj).  Since mu1 + mu2 = -s and mu1^2 + mu2^2 = |E|_F^2, both are
-    at most (|s| + sqrt(2 |E|_F^2 - s^2)) / 2 in modulus.  |E|_F^2 is summed
-    entry by entry: its closed form 2 - 2(P00 + P22) + s^2 cancels, and on
-    c1(pi/2) gave a bound of 1.5e-8, too loose to certify that flat coin.
-    With U = Phi N, Phi = diag(exp(-ik), 1, exp(ik)), adj U = adj(N) conj(Phi)
-    and N = lambda_s conj(Phi) - C differs from -C only on its diagonal.
+    its projector P (see ``_projector``) gives its band the slope s = P22 -
+    P00 (Hellmann-Feynman, Delta = diag(-1, 0, 1)).  The other two slopes
+    are Rayleigh quotients of Delta on the range of I - P, bounded by the
+    eigenvalues mu1, mu2 of E = (I - P) Delta (I - P), whose entries are
+    E_ij = delta_ij Delta_ii + P_ij (s - Delta_ii - Delta_jj).  Since mu1 +
+    mu2 = -s and mu1^2 + mu2^2 = |E|_F^2, both are at most (|s| + sqrt(2
+    |E|_F^2 - s^2)) / 2 in modulus.  |E|_F^2 is summed entry by entry: its
+    closed form 2 - 2(P00 + P22) + s^2 cancels, and on c1(pi/2) gave a
+    bound of 1.5e-8, too loose to certify that flat coin.
 
     A sample whose largest |p'| is at most ``_CUBIC_GAP`` (three bands
     nearly meet) has an infinite bound; a NaN bound certifies nothing
@@ -381,27 +413,11 @@ def _flat_bound(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
     unsure = largest <= _CUBIC_GAP
     g[unsure] = 1.0
     del others, largest
-    diagonal = (ls * ep - matrix[0, 0], ls - matrix[1, 1], ls * em - matrix[2, 2])
-
-    def adj(i, j):
-        # adj(N)_ij = N[j+1, i+1] N[j+2, i+2] - N[j+1, i+2] N[j+2, i+1].
-        def n(r, c):
-            r, c = r % 3, c % 3
-            return diagonal[r] if r == c else -matrix[r, c]
-        return n(j + 1, i + 1) * n(j + 2, i + 2) - n(j + 1, i + 2) * n(j + 2, i + 1)
-
-    p00 = adj(0, 0) * ep / g
-    p22 = adj(2, 2) * em / g
-    s = p22.real - p00.real
-    # |E|_F^2: the diagonal entries, then |P_ij|^2 (s - Delta_ii - Delta_jj)^2
-    # off it, where |P_ij| = |adj(N)_ij| / |g|.
-    norm2 = np.abs(p00 * (s + 2.0) - 1.0) ** 2
-    norm2 += np.abs(p22 * (s - 2.0) + 1.0) ** 2
-    del p00, p22
-    norm2 += np.abs(adj(1, 1) / g * s) ** 2
-    g = np.abs(g)
-    for i, j in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
-        norm2 += (np.abs(adj(i, j)) / g * (s - (i - 1) - (j - 1))) ** 2
+    p = _projector(matrix, ls, g, em, ep)
+    s = p(2, 2).real - p(0, 0).real
+    # |E|_F^2 entry by entry, with Delta_ii = i - 1.
+    norm2 = sum(np.abs(p(i, j) * (s - (i - 1) - (j - 1)) + (i == j) * (i - 1)) ** 2
+                for i, j in product(range(3), repeat=2))
     s = np.abs(s)
     bound = np.sqrt(np.maximum(2.0 * norm2 - s * s, 0.0), out=norm2)
     bound += s
@@ -492,15 +508,16 @@ def peak_velocities_numeric(coin: Coin,
     and k0 is absent.
 
     The grid pass takes the slopes from the characteristic cubic
-    (``_cubic_slopes``).  One eigenvector pass then recomputes the samples
-    it marks as near a band touching, and every sample whose largest or
-    smallest slope lies within ``_TIE_MARGIN`` of that extreme over the
-    unmarked samples.  The cubic errs by far less than that margin, so the
-    grid extremes, the first sample attaining each (parity-symmetric coins
-    have mirror-image ties) and the results are exactly those of eigenvector
-    slopes on the whole grid.  A coin that the closed-form ``_flat_bound``
-    certifies flat skips that pass; the bound exceeds the eigenvector
-    slopes, so the pass would find it flat too (see ``_peak_velocities``).
+    (``_cubic_slopes``), each root's the slope of its spectral projector.
+    One eigenvector pass then recomputes the samples it marks as near a
+    band touching, and every sample whose largest or smallest slope lies
+    within ``_TIE_MARGIN`` of that extreme over the unmarked samples.  The
+    cubic errs by far less than that margin, so the grid extremes, the
+    first sample attaining each (parity-symmetric coins have mirror-image
+    ties) and the results are exactly those of eigenvector slopes on the
+    whole grid.  A coin whose projector slopes are all flat, and whose
+    marked samples the closed-form ``_flat_bound`` certifies flat, skips
+    that pass; the pass would find it flat too (see ``_peak_velocities``).
     The velocities are good to rounding; k0 only to about 1e-7 rad,
     although it is printed with 17 digits, because the slope is flat to
     second order at its maximum (see ``_zoom``).
@@ -526,11 +543,13 @@ def _peak_velocities(matrices: np.ndarray, n_samples: int,
     a triple makes no ``PeakVelocityResult``.
 
     A coin whose unmarked cubic slopes all lie within ``FLAT_BAND_TOL / 2``
-    of zero is offered to ``_flat_bound``; when that bound too stays below
-    ``FLAT_BAND_TOL / 2`` at every sample, the coin is flat with no
-    eigensolve at all.  The eigenvector slopes exceed the bound by rounding
-    only, so the grid pass below would call such a coin flat as well; every
-    other coin takes that pass.
+    of zero has its marked samples offered to ``_flat_bound``; when that
+    bound too stays below ``FLAT_BAND_TOL / 2`` at each of them, the coin is
+    flat with no eigensolve at all.  At an unmarked sample the three
+    projector slopes are those of every band, to about 2e-10, and the
+    eigenvector slopes exceed the bound by rounding only, so the grid pass
+    below would call such a coin flat as well; every other coin takes that
+    pass.
     """
     ks = _grid(n_samples, "velocity grid")
     em = np.exp(-1j * ks)
@@ -543,8 +562,8 @@ def _peak_velocities(matrices: np.ndarray, n_samples: int,
         # Slopes lie in [-1, 1], so +-2 stand for "no unmarked sample".
         high = top.max(where=~near, initial=-2.0)
         low = bottom.min(where=~near, initial=2.0)
-        if (max(high, -low) < FLAT_BAND_TOL / 2
-                and np.all(_flat_bound(matrix, em, ep) < FLAT_BAND_TOL / 2)):
+        if max(high, -low) < FLAT_BAND_TOL / 2 and np.all(
+                _flat_bound(matrix, em[near], ep[near]) < FLAT_BAND_TOL / 2):
             continue
         exact = near | (top >= high - _TIE_MARGIN) | (bottom <= low + _TIE_MARGIN)
         fixed = _band_slopes(matrix, ks[exact])

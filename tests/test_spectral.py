@@ -402,7 +402,7 @@ def eigenvector_peak_search(coin: Coin, n: int):
 
 # Coins of TestCubicCoarsePass.COINS whose every band is flat to within the
 # flatness bound, so no eigensolve runs for them.
-CERTIFIED = ("pi", "c1:pi/2", "c2:0", "c1:pi/2-1e-9", "c2:1e-9")
+CERTIFIED = ("pi", "c1:pi/2", "c2:0", "c1:pi/2-1e-9", "c2:1e-9", "cyclic")
 
 
 class TestCubicCoarsePass:
@@ -416,7 +416,9 @@ class TestCubicCoarsePass:
              # A triple root at k = 0, and the edges of both families.
              "identity": Coin(np.eye(3)),
              "c1:pi/2-1e-9": coin_c1(math.pi / 2 - 1e-9),
-             "c2:1e-9": coin_c2(1e-9)}
+             "c2:1e-9": coin_c2(1e-9),
+             # Three flat bands, apart at every k: no sample is marked.
+             "cyclic": Coin(np.roll(np.eye(3), 1, axis=0))}
 
     @pytest.mark.parametrize("n", [16, 17, 128, 256, 512, 1000, 4096])
     @pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())

@@ -105,6 +105,10 @@ def invocations() -> list[tuple[str, ...]]:
         # flat band reported is the flattest one, lambda = 1.
         *(("localize", "--steps", "300", "--grid", "256", "--coin", spec,
            "--out", OUT) for spec in ("c1:1.5707963257948966", "c2:1e-9")),
+        # A cyclic permutation between seeded phases: three flat bands
+        # apart at every k, certified flat by their projector slopes.
+        *((*cmd, "--coin", f"matrix:{WORK}/cyclic.json", "--out", OUT)
+          for cmd in PER_COIN if cmd[0] in ("velocity", "localize")),
         ("sweep", "--family", "c3", "--out", OUT),
         ("simulate", "--steps", "4000", "--out", OUT),
         ("localize", "--steps", "4000", "--out", OUT),
@@ -141,12 +145,15 @@ def invocations() -> list[tuple[str, ...]]:
 
 
 def write_inputs(work: Path) -> None:
-    """The seeded Haar and real orthogonal coin files, and the malformed ones."""
+    """The seeded Haar, real orthogonal and cyclic flat coin files, and the
+    malformed ones."""
     rng = np.random.default_rng(2012)
     q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     haar = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
     orth, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    for name, matrix in (("haar", haar), ("orth", orth)):
+    left, right = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(2, 3)))
+    cyclic = left[:, None] * np.roll(np.eye(3), 1, axis=0) * right
+    for name, matrix in (("haar", haar), ("orth", orth), ("cyclic", cyclic)):
         entries = [[float(z.real), float(z.imag)] for z in matrix.ravel()]
         (work / f"{name}.json").write_text(json.dumps(
             {"family": "custom", "parameter": None, "matrix": entries}))
