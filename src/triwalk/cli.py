@@ -2,8 +2,11 @@
 
 Runs walk simulations, dispersion scans, peak-velocity analyses, parameter
 sweeps, and localization reports, writing CSV or JSON data files suitable
-for plotting.  Each result record renders its own text (``to_csv()``,
-``to_json()``); this module alone writes files, all through ``_write_text``.
+for plotting.  ``main`` is the one pipeline: it parses ``--coin`` and
+``--state`` and checks the ``--steps`` cap once, runs the command, which
+returns its result record and summary lines, and only then writes the
+record's ``to_csv()`` or ``to_json()`` through ``_write_text`` and prints
+the lines.
 Exit codes: 0 success, 2 configuration error (also a grid or walk too large
 for memory), 3 numeric or invariant failure, 4 I/O failure.  Failures emit
 a one-line JSON error object on stderr.
@@ -15,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import types
 
 import numpy as np
 
@@ -137,51 +141,39 @@ def _analytic_velocity(coin: Coin) -> float | None:
     return None
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    coin = parse_coin(args.coin)
-    psi = parse_state(args.state)
+def cmd_simulate(args: argparse.Namespace) -> tuple:
     if args.steps < 0:
         raise ConfigError("--steps must be non-negative")
-    if args.steps > MAX_STEPS:
-        raise ConfigError(f"--steps is capped at {MAX_STEPS}")
-    state = evolve(initial_state(psi), coin, args.steps)
-    dist = probability_distribution(state)
-    # The numeric velocity can still fail, so it comes before any output.
-    v = _analytic_velocity(coin)
+    dist = probability_distribution(
+        evolve(initial_state(args.state), args.coin, args.steps))
+    v = _analytic_velocity(args.coin)
     label = "analytic"
     if v is None:
-        v = peak_velocities_numeric(coin, args.grid).v_right
+        v = peak_velocities_numeric(args.coin, args.grid).v_right
         label = "numeric"
-    _write_output(args, dist)
     left, right = peak_positions(dist)
-    print(f"side peaks: left={left} right={right}")
-    print(f"predicted t*v_R = {args.steps * v:.3f} "
-          f"(v_R = {v:.6f}, {label})")
-    return 0
+    return dist, (f"side peaks: left={left} right={right}",
+                  f"predicted t*v_R = {args.steps * v:.3f} "
+                  f"(v_R = {v:.6f}, {label})")
 
 
-def cmd_dispersion(args: argparse.Namespace) -> int:
-    coin = parse_coin(args.coin)
-    table = dispersion_numeric(coin, args.grid)
-    _write_output(args, table)
-    return 0
+def cmd_dispersion(args: argparse.Namespace) -> tuple:
+    return dispersion_numeric(args.coin, args.grid), ()
 
 
-def cmd_velocity(args: argparse.Namespace) -> int:
-    coin = parse_coin(args.coin)
-    result = peak_velocities_numeric(coin, args.grid)
-    _write_output(args, result)
-    print(f"v_left = {result.v_left:.9f}, v_right = {result.v_right:.9f}")
-    return 0
+def cmd_velocity(args: argparse.Namespace) -> tuple:
+    result = peak_velocities_numeric(args.coin, args.grid)
+    return result, (f"v_left = {result.v_left:.9f}, "
+                    f"v_right = {result.v_right:.9f}",)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple:
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
     make_coin, top = _FAMILIES[args.family]
     params = np.linspace(0.0, top, args.points)
     coins = [make_coin(p) for p in params]
-    # One zoom refines v_right (the one velocity printed) at every point,
+    # One zoom refines v_right (the one velocity written) at every point,
     # with the bits of one call per point.
     results = _peak_velocities(np.array([c.matrix for c in coins]), args.grid,
                                left=False)
@@ -192,28 +184,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append((p, v_ana, v_right, dev))
 
     keys = ("parameter", "v_analytic", "v_numeric", "deviation_from_linear")
-    _write_text(args.out, _csv_text(",".join(keys), *zip(*rows))
-                if args.format == "csv"
-                else _to_json([dict(zip(keys, row)) for row in rows]))
-    return 0
+    return types.SimpleNamespace(
+        to_csv=lambda: _csv_text(",".join(keys), *zip(*rows)),
+        to_json=lambda: _to_json([dict(zip(keys, row)) for row in rows])), ()
 
 
-def cmd_localize(args: argparse.Namespace) -> int:
-    coin = parse_coin(args.coin)
-    psi = parse_state(args.state)
-    if args.steps > MAX_STEPS:
-        raise ConfigError(f"--steps is capped at {MAX_STEPS}")
-    report = localization_report(coin, psi, args.steps, n_samples=args.grid)
-    _write_output(args, report)
-    print(f"trapping estimate = {report.trapping_estimate:.6f} "
-          f"(converged={report.converged}, flat_band={report.flat_band})")
-    return 0
-
-
-def _write_output(args: argparse.Namespace, record) -> None:
-    """Write ``--out``: ``record.to_csv()`` or ``record.to_json()``."""
-    _write_text(args.out, record.to_csv() if args.format == "csv"
-                else record.to_json())
+def cmd_localize(args: argparse.Namespace) -> tuple:
+    report = localization_report(args.coin, args.state, args.steps,
+                                 n_samples=args.grid)
+    return report, (f"trapping estimate = {report.trapping_estimate:.6f} "
+                    f"(converged={report.converged}, "
+                    f"flat_band={report.flat_band})",)
 
 
 def _write_text(path, text: str) -> None:
@@ -289,7 +270,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.grid < 16:
             raise ConfigError("--grid must be at least 16")
-        return args.func(args)
+        # The commands read the parsed Coin and state in place of the text.
+        if "coin" in args:
+            args.coin = parse_coin(args.coin)
+        if "state" in args:
+            args.state = parse_state(args.state)
+        if getattr(args, "steps", 0) > MAX_STEPS:
+            raise ConfigError(f"--steps is capped at {MAX_STEPS}")
+        record, lines = args.func(args)
+        _write_text(args.out, record.to_csv() if args.format == "csv"
+                    else record.to_json())
+        for line in lines:
+            print(line)
+        return 0
     except (ConfigError, ValueError, MemoryError) as exc:
         return _fail(2, exc)
     except (InvariantViolation, BranchTrackingError) as exc:

@@ -65,7 +65,11 @@ def trapping_estimate(series) -> TrappingEstimate:
 
     Averages the last two quarters of the series separately; the estimate is
     the final-quarter mean and the run counts as converged when the two
-    window means differ by less than ``CONVERGENCE_TOL``.
+    window means differ by less than ``CONVERGENCE_TOL``.  The flag compares
+    the two windows with each other only, never with the limit: a periodic
+    series, such as the cyclic permutation coin's 1, 1/3, 1/3, ..., reads
+    False whenever the windows hold different shares of a period, however
+    close both lie to the limit.
     """
     p = np.asarray(series, dtype=float)
     if p.ndim != 1 or p.size < _MIN_SERIES:

@@ -563,7 +563,9 @@ class TestErrorPaths:
         out = tmp_path / "vel.json"
         code = main(["velocity", "--grid", "50000000", "--out", str(out)])
         assert code == 2
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
             "error": "MemoryError",
@@ -760,6 +762,26 @@ class TestOneWriter:
             [record] = records
             assert text == (record.to_csv() if fmt == "csv"
                             else record.to_json())
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failure_writes_and_prints_nothing(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        # Every command computes all of its results before main writes or
+        # prints, so a failing computation leaves no file and no stdout.
+        producer, options = COMMANDS[command]
+
+        def fail(*args, **kwargs):
+            raise cli.InvariantViolation("probabilities do not sum to 1")
+
+        monkeypatch.setattr(cli, producer or "_peak_velocities", fail)
+        out = tmp_path / "out"
+        assert main([command, *options, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {"error": "InvariantViolation",
+                                    "message": "probabilities do not sum to 1"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_format_help_names_the_default(self, capsys, command):

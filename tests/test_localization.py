@@ -155,6 +155,19 @@ class TestTrappingEstimate:
         assert_allclose(est.windows, GROVER_WINDOWS_T1000, atol=1e-9)
         assert est.value > 0.03
 
+    @pytest.mark.parametrize("t_max, converged", [
+        (299, True), (300, False), (301, False), (302, True), (1000, False),
+        (4000, True)])
+    def test_flag_compares_the_windows_only(self, t_max, converged):
+        # The cyclic permutation coin brings PSI_SYM back to the origin
+        # every third step: the series is 1, 1/3, 1/3, ..., the limit 5/9.
+        # Both windows lie within 0.01 of it at every T, yet the flag reads
+        # whether the two quarters hold the same share of a period.
+        coin = Coin(np.roll(np.eye(3), 1, axis=0))
+        est = trapping_estimate(origin_series(coin, PSI_SYM, t_max))
+        assert max(abs(w - 5 / 9) for w in est.windows) < 0.01
+        assert est.converged is converged
+
     def test_cesaro_approaches_projection_limit(self):
         oracle = flat_band_trapped_probability(grover_coin().matrix, PSI_SYM)
         assert abs(oracle - GROVER_TRAPPED_LIMIT) < 1e-12

@@ -1,10 +1,8 @@
 """Property-based checks over randomly generated coins and states."""
 
-import ast
 import itertools
 import math
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,19 +39,6 @@ from test_walk import (allocating_evolve, allocating_origin_series,
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def test_oracles_import_nothing_from_triwalk():
-    # The oracles must be able to disagree with the package, so they may not
-    # reuse any of its code.
-    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
-    modules = [alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names]
-    modules += ["." * node.level + (node.module or "")
-                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert "numpy" in modules
-    # A relative import ("from . import x") starts with an empty name.
-    assert not [m for m in modules if m.split(".")[0] in ("triwalk", "")]
 
 
 @settings(max_examples=15, deadline=None)

@@ -136,6 +136,25 @@ def invocations() -> list[tuple[str, ...]]:
         *(("velocity", "--coin", spec, "--out", OUT) for spec in BAD_SPECS),
         *(("simulate", "--state", state, "--steps", "3", "--out", OUT)
           for state in ("1e-320,0,0,0,0,0", "0,0,0,0,5e-324,0")),
+        # The command line's own checks: grid floor, step bounds, sweep
+        # points, state parsing, a non-unitary coin and an unwritable path.
+        *((*cmd, "--grid", "8", "--out", OUT) for cmd in
+          (("simulate",), ("dispersion",), ("velocity",),
+           ("sweep", "--family", "c1"), ("localize",))),
+        ("simulate", "--steps", "-1", "--out", OUT),
+        ("localize", "--steps", "-5", "--out", OUT),
+        *((cmd, "--steps", "100001", "--out", OUT)
+          for cmd in ("simulate", "localize")),
+        ("simulate", "--steps", "100001", "--coin", "c3:0.5", "--out", OUT),
+        ("sweep", "--family", "c2", "--points", "1", "--out", OUT),
+        *((cmd, "--state", state, "--out", OUT)
+          for state in ("1,0,0", "1,0,0,0,nan,0", "0,0,0,0,0,0",
+                        "2,0,0,0,0,0", ",".join(["1e308"] * 6))
+          for cmd in ("simulate", "localize")),
+        *((cmd, "--coin", f"matrix:{WORK}/nonunitary.json", "--out", OUT)
+          for cmd in ("simulate", "dispersion", "velocity", "localize")),
+        ("sweep", "--family", "c2", "--points", "6",
+         "--out", f"{WORK}/missing/out"),
         (),
         ("--help",),
         *((cmd, "--help") for cmd in
@@ -145,8 +164,8 @@ def invocations() -> list[tuple[str, ...]]:
 
 
 def write_inputs(work: Path) -> None:
-    """The seeded Haar, real orthogonal and cyclic flat coin files, and the
-    malformed ones."""
+    """The seeded Haar, real orthogonal and cyclic flat coin files, a
+    non-unitary one, and the malformed ones."""
     rng = np.random.default_rng(2012)
     q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     haar = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
@@ -157,6 +176,8 @@ def write_inputs(work: Path) -> None:
         entries = [[float(z.real), float(z.imag)] for z in matrix.ravel()]
         (work / f"{name}.json").write_text(json.dumps(
             {"family": "custom", "parameter": None, "matrix": entries}))
+    (work / "nonunitary.json").write_text(json.dumps(
+        {"family": "custom", "parameter": None, "matrix": [[1.0, 0.0]] * 9}))
     for i, record in enumerate(MALFORMED):
         (work / f"malformed{i}.json").write_text(
             record if isinstance(record, str) else json.dumps(record))
