@@ -58,9 +58,20 @@ UNITARITY_TOL = 1e-12
 _EXCHANGE = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def _freeze(record, name: str, dtype) -> np.ndarray:
-    """Set field ``name`` to a read-only C-ordered ``dtype`` copy; return it."""
+def _freeze(record, name: str, dtype, shape=None) -> np.ndarray:
+    """Set field ``name`` to a read-only C-ordered ``dtype`` copy; return it.
+
+    This is every record's array contract: the copy must be finite, and of
+    ``shape`` when one is given.  A NaN, an infinity or another shape is
+    refused with a ``ValueError``.
+    """
     value = np.array(getattr(record, name), dtype=dtype, order="C")
+    # "coin matrix ...": the message the CLI prints for a coin file.
+    label = f"{type(record).__name__.lower()} {name}"
+    if shape is not None and value.shape != shape:
+        raise ValueError(f"{label} needs shape {shape}, got {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{label} contains non-finite entries")
     value.setflags(write=False)
     object.__setattr__(record, name, value)
     return value
@@ -87,6 +98,14 @@ class InvariantViolation(Exception):
 
 
 class CoinFamily(enum.Enum):
+    """The constructor a coin came from; each value is its JSON ``family``.
+
+    GROVER is ``grover_coin``, C1 ``coin_c1``, C2 ``coin_c2``,
+    PERMUTATION_PI ``permutation_coin``, TRIVIAL_C ``reflecting_coin`` and
+    TRIVIAL_C_PRIME ``transmitting_coin``; CUSTOM is any other matrix,
+    ``fourier_coin`` and ``coin_from_spectral`` included.
+    """
+
     GROVER = "grover"
     C1 = "c1"
     C2 = "c2"
@@ -116,11 +135,7 @@ class Coin:
     parameter: float | None = None
 
     def __post_init__(self) -> None:
-        m = _freeze(self, "matrix", np.complex128)
-        if m.shape != (3, 3):
-            raise ValueError(f"coin matrix must be 3x3, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(np.float64))):
-            raise ValueError("coin matrix contains non-finite entries")
+        m = _freeze(self, "matrix", np.complex128, (3, 3))
         dev = np.max(np.abs(m @ m.conj().T - np.eye(3)))
         if dev > UNITARITY_TOL:
             raise InvariantViolation(
@@ -215,10 +230,8 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = _freeze(self, "eigenvalues", np.complex128)
-        vec = _freeze(self, "eigenvectors", np.complex128)
-        if lam.shape != (3,) or vec.shape != (3, 3):
-            raise ValueError("eigensystem needs 3 eigenvalues and a 3x3 basis")
+        lam = _freeze(self, "eigenvalues", np.complex128, (3,))
+        vec = _freeze(self, "eigenvectors", np.complex128, (3, 3))
         if np.max(np.abs(np.abs(lam) - 1.0)) > UNITARITY_TOL:
             raise InvariantViolation("eigenvalues are not on the unit circle")
         gram = vec.conj().T @ vec

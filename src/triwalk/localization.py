@@ -36,6 +36,15 @@ _MIN_SERIES = 200
 
 
 class TrappingEstimate(NamedTuple):
+    """The Cesaro windows of an origin series (see ``trapping_estimate``).
+
+    ``value`` is the mean of the series over its last quarter.
+    ``converged`` is whether the two windows differ by less than
+    ``CONVERGENCE_TOL``; it compares them with each other only, never
+    with the limit.  ``windows`` is (third-quarter mean, last-quarter
+    mean).
+    """
+
     value: float
     converged: bool
     windows: tuple[float, float]

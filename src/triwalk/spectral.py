@@ -128,9 +128,7 @@ class DispersionTable:
         if br.ndim != 2 or len(br) != 3 or br.size == 0:
             raise ValueError(f"need a (3, n) branch array, got {br.shape}")
         if self.eigenvectors is not None:
-            vec = _freeze(self, "eigenvectors", np.complex128)
-            if vec.shape != (br.shape[1], 3, 3):
-                raise ValueError(f"eigenvectors {vec.shape} are not (n, 3, 3)")
+            _freeze(self, "eigenvectors", np.complex128, (br.shape[1], 3, 3))
 
     @property
     def k_grid(self) -> np.ndarray:

@@ -49,10 +49,7 @@ class WalkState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "time", _count(self.time, "time"))
-        amps = _freeze(self, "amplitudes", np.complex128)
-        if amps.shape != (2 * self.time + 1, 3):
-            raise ValueError(f"state at t={self.time} needs shape "
-                             f"{(2 * self.time + 1, 3)}, got {amps.shape}")
+        _freeze(self, "amplitudes", np.complex128, (2 * self.time + 1, 3))
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -73,11 +70,8 @@ class ProbabilityDistribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "time", _count(self.time, "time"))
-        p = _freeze(self, "probabilities", float)
-        if p.shape != (2 * self.time + 1,):
-            raise ValueError(f"distribution at t={self.time} needs shape "
-                             f"{(2 * self.time + 1,)}, got {p.shape}")
-        if not np.min(p) >= -NORM_TOL:  # also rejects NaN
+        p = _freeze(self, "probabilities", float, (2 * self.time + 1,))
+        if np.min(p) < -NORM_TOL:
             raise ValueError("probabilities must be non-negative")
 
     @property

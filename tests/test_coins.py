@@ -192,11 +192,15 @@ class TestCoinFromSpectral:
         coin = coin_from_spectral(grover_eigensystem(), (0.0, 0.0, 0.0))
         assert_allclose(coin.matrix, np.eye(3), atol=1e-12)
 
-    def test_non_orthonormal_basis_rejected(self):
-        vecs = np.eye(3, dtype=complex)
-        vecs[:, 1] = vecs[:, 0]  # repeated column
-        with pytest.raises(InvariantViolation):
-            EigenSystem(np.array([1.0, 1.0, 1.0], dtype=complex), vecs)
+    @pytest.mark.parametrize("lam, vecs, error", [
+        ([1, 1, 1], np.eye(3)[:, [0, 0, 2]], InvariantViolation),
+        ([1, 1.5, 1], np.eye(3), InvariantViolation),
+        ([1, 1], np.eye(3), ValueError),
+        ([1, 1, 1], np.eye(3)[:, :2], ValueError),
+    ], ids=["non-orthonormal", "off-circle", "two-eigenvalues", "3x2-basis"])
+    def test_invalid_eigensystem_rejected(self, lam, vecs, error):
+        with pytest.raises(error):
+            EigenSystem(np.array(lam, dtype=complex), vecs)
 
     def test_non_finite_phases_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 
 import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -71,13 +72,17 @@ def _localization_report():
             {"series": s})
 
 
-@pytest.mark.parametrize("build", [
+# Each builder returns a record and the arrays it was built from, by field.
+RECORDS = pytest.mark.parametrize("build", [
     _coin, _eigensystem, _dispersion_table,
     _dispersion_table_with_eigenvectors, _walk_state, _distribution,
     _localization_report,
 ], ids=["Coin", "EigenSystem", "DispersionTable",
         "DispersionTable-eigenvectors", "WalkState",
         "ProbabilityDistribution", "LocalizationReport"])
+
+
+@RECORDS
 def test_records_store_read_only_copies(build):
     # A record freezes its own copy of each array field, never the caller's.
     record, sources = build()
@@ -87,6 +92,18 @@ def test_records_store_read_only_copies(build):
         assert not stored.flags.writeable, name
         assert stored is not source, name
         np.testing.assert_array_equal(stored, source)
+
+
+@RECORDS
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_records_refuse_non_finite_arrays(build, bad):
+    # One array contract: every array field of every record is finite.
+    record, sources = build()
+    for name, source in sources.items():
+        broken = source.copy()
+        broken.flat[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(record, **{name: broken})
 
 
 # Calls that open a file: the builtin and the file methods of ``pathlib``.

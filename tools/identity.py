@@ -30,6 +30,7 @@ import sys
 import tempfile
 import time
 import warnings
+from math import inf, nan
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,9 @@ MALFORMED = (
      "matrix": [[10 ** 400, 0]] + GROVER_ENTRIES[1:]},
     {"family": "c1", "parameter": 10 ** 400, "matrix": GROVER_ENTRIES},
     "[" * 200000 + "]" * 200000,  # raw text, nested past the recursion limit
+    # json.dumps writes the literals NaN and Infinity, which json.loads reads.
+    *({"family": "custom", "parameter": None,
+       "matrix": [[x, 0.0]] + GROVER_ENTRIES[1:]} for x in (nan, inf)),
 )
 
 BAD_SPECS = ("c1", "c1:", "c1:x", "c3:0.5", "pi:", "matrix", "matrix:",
