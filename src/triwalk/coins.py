@@ -214,8 +214,9 @@ def _encode(obj):
     raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
-# JSON text of a record, with the package's values encoded by _encode.
-_to_json = functools.partial(json.dumps, default=_encode)
+# JSON text of a record, with the package's values encoded by _encode; a
+# NaN or an infinity, which JSON cannot hold, raises ValueError.
+_to_json = functools.partial(json.dumps, default=_encode, allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ band itself is read from the tracked dispersion, as its flattest branch
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from numbers import Real
 from typing import NamedTuple
 
@@ -113,17 +113,29 @@ def flat_band_detect(coin: Coin,
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    """Origin-probability series with its trapping and flat-band summary."""
+    """Origin-probability series with its trapping and flat-band summary.
+
+    Built from ``series`` and ``flat_band_eigenvalue`` alone.  The summary
+    is derived from them: ``cesaro_windows``, ``trapping_estimate`` and
+    ``converged`` are ``trapping_estimate(series)``, and ``flat_band`` is
+    whether an eigenvalue is given, so none can disagree with them.  A
+    series that is not 1-D or has fewer than 200 points is refused.
+    """
 
     series: np.ndarray
-    cesaro_windows: tuple[float, float]
-    trapping_estimate: float
-    converged: bool
-    flat_band: bool
+    cesaro_windows: tuple[float, float] = field(init=False)
+    trapping_estimate: float = field(init=False)
+    converged: bool = field(init=False)
+    flat_band: bool = field(init=False)
     flat_band_eigenvalue: complex | None
 
     def __post_init__(self) -> None:
-        _freeze(self, "series", float)
+        est = trapping_estimate(_freeze(self, "series", float))
+        flat = self.flat_band_eigenvalue is not None
+        # TrappingEstimate's fields in their order, then the flat-band flag.
+        for name, value in zip(("trapping_estimate", "converged",
+                                "cesaro_windows", "flat_band"), (*est, flat)):
+            object.__setattr__(self, name, value)
 
     def to_csv(self) -> str:
         """The origin series p(0, t), one row per t."""
@@ -155,8 +167,5 @@ def localization_report(
                          "trapping estimate needs a series of at least "
                          f"{_MIN_SERIES} points")
     _count(t_max, "t_max")
-    flat, eigenvalue = flat_band_detect(coin, n_samples)
-    series = origin_series(coin, psi_c, t_max)
-    est = trapping_estimate(series)
-    return LocalizationReport(series, est.windows, est.value, est.converged,
-                              flat, eigenvalue)
+    eigenvalue = flat_band_detect(coin, n_samples)[1]
+    return LocalizationReport(origin_series(coin, psi_c, t_max), eigenvalue)

@@ -87,14 +87,17 @@ class ProbabilityDistribution:
 
 
 def initial_state(psi_c) -> WalkState:
-    """Walker at the origin with coin state ``psi_c`` (must be normalized)."""
-    psi = np.asarray(psi_c, dtype=np.complex128)
-    if psi.shape != (3,):
-        raise ValueError("initial coin state must have three components")
-    norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
+    """Walker at the origin with coin state ``psi_c`` (must be normalized).
+
+    ``psi_c`` becomes the one row of a time-0 ``WalkState``, which refuses
+    anything but three finite components; a norm further than ``NORM_TOL``
+    from 1 is refused here.
+    """
+    state = WalkState(0, np.asarray(psi_c)[None])
+    norm = math.sqrt(state.norm_squared())
+    if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"initial coin state norm is {norm!r}, expected 1")
-    return WalkState(0, psi[None, :])
+    return state
 
 
 def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):

@@ -686,16 +686,18 @@ class TestOutputBytes:
         (None, "false, \"flat_band_eigenvalue\": null"),
     ])
     def test_localization(self, eigenvalue, json_eigenvalue):
-        report = LocalizationReport([1.0, 0.1, 0.25], (0.1, 0.125), 0.125,
-                                    False, eigenvalue is not None, eigenvalue)
+        # 200 points, the shortest series, whose window means are exact
+        # binary fractions: 0.5 over points 100-149, 0.25 over 150-199.
+        cells = ["1"] * 100 + ["0.5"] * 50 + ["0.25"] * 50
+        report = LocalizationReport([float(c) for c in cells], eigenvalue)
         assert report.to_json() == (
-            '{"series": [1.0, 0.1, 0.25], "cesaro_windows": [0.1, 0.125], '
-            '"trapping_estimate": 0.125, "converged": false, '
+            '{"series": [' + ", ".join(["1.0"] * 100 + cells[100:]) + '], '
+            '"cesaro_windows": [0.5, 0.25], '
+            '"trapping_estimate": 0.25, "converged": false, '
             f'"flat_band": {json_eigenvalue}}}'
         )
-        assert report.to_csv() == (
-            "t,p0\n0,1\n1,0.10000000000000001\n2,0.25\n"
-        )
+        assert report.to_csv() == "t,p0\n" + "".join(
+            f"{t},{c}\n" for t, c in enumerate(cells))
 
     def test_sweep(self, tmp_path, monkeypatch):
         # c2 at rho = 0 and 1: the analytic velocity is rho, the deviation 0.

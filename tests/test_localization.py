@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -24,6 +25,7 @@ from triwalk.coins import (
     transmitting_coin,
 )
 from triwalk.localization import (
+    LocalizationReport,
     flat_band_detect,
     localization_report,
     origin_series,
@@ -409,6 +411,30 @@ class TestLocalizationReport:
         assert main(argv) == 0
         assert out.read_text() == \
             localization_report(grover_coin(), psi, 300).to_json()
+
+    @pytest.mark.parametrize("series", [np.ones((2, 3)), np.ones(150)],
+                             ids=["2x3", "150-points"])
+    def test_series_refused_as_trapping_estimate_refuses_it(self, series):
+        with pytest.raises(ValueError, match="^trapping estimate needs a "
+                                             "series of at least 200 points$"):
+            LocalizationReport(series, None)
+
+    def test_summary_is_derived_from_the_series(self):
+        report = localization_report(grover_coin(), PSI_SYM, 300)
+        est = trapping_estimate(report.series)
+        assert report.cesaro_windows == est.windows
+        assert report.trapping_estimate == est.value
+        assert report.converged == est.converged
+        assert report.flat_band == (report.flat_band_eigenvalue is not None)
+        # Replacing the series recomputes the summary: none is left stale.
+        other = np.r_[np.ones(100), np.full(50, 0.5), np.full(50, 0.25)]
+        replaced = dataclasses.replace(report, series=other)
+        assert replaced.cesaro_windows == (0.5, 0.25)
+        assert replaced.trapping_estimate == 0.25
+        assert not replaced.converged
+        assert replaced.flat_band_eigenvalue == report.flat_band_eigenvalue
+        assert not dataclasses.replace(report, flat_band_eigenvalue=None) \
+            .flat_band
 
     def test_series_csv(self):
         report = localization_report(grover_coin(), PSI_SYM, 250)

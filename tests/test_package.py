@@ -10,9 +10,10 @@ import pytest
 
 import triwalk
 from triwalk import coins, localization, spectral, walk
-from triwalk.coins import Coin, EigenSystem, grover_coin, grover_eigensystem
+from triwalk.coins import (Coin, CoinFamily, EigenSystem, grover_coin,
+                           grover_eigensystem)
 from triwalk.localization import LocalizationReport
-from triwalk.spectral import DispersionTable
+from triwalk.spectral import DispersionTable, PeakVelocityResult
 from triwalk.walk import ProbabilityDistribution, WalkState
 
 MODULES = (coins, localization, spectral, walk)
@@ -67,9 +68,8 @@ def _distribution():
 
 
 def _localization_report():
-    s = np.ones(4)
-    return (LocalizationReport(s, (1.0, 1.0), 1.0, True, False, None),
-            {"series": s})
+    s = np.ones(200)
+    return LocalizationReport(s, None), {"series": s}
 
 
 # Each builder returns a record and the arrays it was built from, by field.
@@ -104,6 +104,18 @@ def test_records_refuse_non_finite_arrays(build, bad):
         broken.flat[-1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(record, **{name: broken})
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: PeakVelocityResult(-0.5, 0.5, x),
+    lambda x: Coin(grover_coin().matrix, CoinFamily.CUSTOM, x),
+], ids=["PeakVelocityResult-k0", "Coin-parameter"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_json_refuses_non_finite_numbers(build, bad):
+    # JSON has no NaN or Infinity: a record's JSON text raises instead of
+    # writing the literals, which a strict reader refuses.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        build(bad).to_json()
 
 
 # Calls that open a file: the builtin and the file methods of ``pathlib``.

@@ -60,12 +60,14 @@ class TestInitialState:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             initial_state(np.array([1.0, 1.0, 0.0]))
-        with pytest.raises(ValueError):  # a NaN norm compares False to 1
+        with pytest.raises(ValueError):  # a NaN entry has no norm
             initial_state(np.array([np.nan, 0.0, 0.0]))
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            initial_state(np.array([1.0, 0.0]))
+        for psi in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
+                    [[1.0], [0.0], [0.0]]):
+            with pytest.raises(ValueError):
+                initial_state(np.array(psi))
 
 
 class TestStep:

@@ -147,6 +147,10 @@ def invocations() -> list[tuple[str, ...]]:
            ("sweep", "--family", "c1"), ("localize",))),
         ("simulate", "--steps", "-1", "--out", OUT),
         ("localize", "--steps", "-5", "--out", OUT),
+        # The shortest run the trapping estimate takes: 199 steps give a
+        # 200-point series, 198 are refused.
+        *(("localize", "--steps", steps, "--out", OUT)
+          for steps in ("198", "199")),
         *((cmd, "--steps", "100001", "--out", OUT)
           for cmd in ("simulate", "localize")),
         ("simulate", "--steps", "100001", "--coin", "c3:0.5", "--out", OUT),
