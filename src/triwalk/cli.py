@@ -7,6 +7,11 @@ for plotting.  ``main`` is the one pipeline: it parses ``--coin`` and
 returns its result record and summary lines, and only then writes the
 record's ``to_csv()`` or ``to_json()`` through ``_write_text`` and prints
 the lines.
+``main`` is the in-process API: it returns the exit code.  The ``triwalk``
+process, as a script or as ``python -m triwalk.cli``, runs ``_process_main``
+instead, which flushes stdout and stderr after ``main`` and ends with
+``os._exit``: the interpreter's teardown of numpy and the package would
+only free memory that the process is about to give back.
 Exit codes: 0 success, 2 configuration error (also a grid or walk too large
 for memory), 3 numeric or invariant failure, 4 I/O failure.  Failures emit
 a one-line JSON error object on stderr.
@@ -17,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import types
 
@@ -291,5 +297,22 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(4, exc)
 
 
+def _process_main() -> None:
+    """The ``triwalk`` process: ``main``, then flush and exit at once.
+
+    argparse's ``SystemExit`` and an uncaught exception leave through the
+    interpreter as usual, and so does a flush that fails, which the
+    interpreter then reports as it would without this function.
+    """
+    status = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when Python started without it
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _process_main()

@@ -77,6 +77,15 @@ def _freeze(record, name: str, dtype, shape=None) -> np.ndarray:
     return value
 
 
+def _finite(record, name: str) -> None:
+    """Refuse a NaN or an infinity in scalar field ``name``, by ``_freeze``'s
+    rule, with a ``ValueError``; ``None`` passes."""
+    value = getattr(record, name)
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{type(record).__name__.lower()} {name} is "
+                         f"non-finite: {value!r}")
+
+
 def _count(value, what: str) -> int:
     """``value`` as an ``int``; anything but a non-negative integer is refused."""
     try:
@@ -127,7 +136,7 @@ class Coin:
         Which constructor family the matrix belongs to.
     parameter:
         Family parameter (phi in radians for C1, rho in [0, 1] for C2),
-        None for parameter-free families.
+        None for parameter-free families; never NaN or infinite.
     """
 
     matrix: np.ndarray
@@ -135,6 +144,7 @@ class Coin:
     parameter: float | None = None
 
     def __post_init__(self) -> None:
+        _finite(self, "parameter")
         m = _freeze(self, "matrix", np.complex128, (3, 3))
         dev = np.max(np.abs(m @ m.conj().T - np.eye(3)))
         if dev > UNITARITY_TOL:
@@ -171,7 +181,8 @@ class Coin:
             if param is not None and not _is_number(param):
                 raise TypeError("parameter must be a number or null")
             args = () if param is None else (float(param),)
-            coin = cls(m.reshape(3, 3), family, *args)
+            # The parameter is checked by its family's constructor below.
+            coin = cls(m.reshape(3, 3), family)
             named = _NAMED_COINS.get(family, lambda: coin)(*args)
         except (KeyError, TypeError, OverflowError, RecursionError):
             raise ValueError("coin JSON must be an object with a family, a "

@@ -43,8 +43,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .coins import (Coin, InvariantViolation, _count, _csv_text, _freeze,
-                    _to_json, _unitary_eig)
+from .coins import (Coin, InvariantViolation, _count, _csv_text, _finite,
+                    _freeze, _to_json, _unitary_eig)
 
 __all__ = [
     "BranchTrackingError",
@@ -467,8 +467,8 @@ class PeakVelocityResult:
 
     ``v_right``/``v_left`` are the extremal group velocities in sites per
     step; ``k0`` is the stationary wavenumber they are attained at, when one
-    was identified.  The CSV and JSON text also carry a ``method`` field,
-    always ``"numeric"``.
+    was identified, else None; a NaN or infinite ``k0`` is refused.  The CSV
+    and JSON text also carry a ``method`` field, always ``"numeric"``.
     """
 
     v_left: float
@@ -476,6 +476,7 @@ class PeakVelocityResult:
     k0: float | None
 
     def __post_init__(self) -> None:
+        _finite(self, "k0")
         # A NaN compares false, so a NaN velocity fails the check too.
         if not all(abs(v) <= 1.0 + 1e-9 for v in (self.v_left, self.v_right)):
             raise InvariantViolation(

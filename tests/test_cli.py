@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -38,25 +39,35 @@ def read_csv_distribution(path):
     return np.array(sites), np.array(probs)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# A child Python imports the package from this checkout's src/, and argparse
+# wraps --help to 80 columns, as in process under monkeypatch.setenv.  Its
+# piped stdout is block-buffered, as by default, so an unflushed line is lost.
+CHILD_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "COLUMNS": "80",
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p),
+}
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; every CLI start imports triwalk.
     # The CLI computes sweep rows in order, so it loads no thread pool either.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     for module, unwanted in (("triwalk", "scipy"),
                              ("triwalk.cli", "concurrent")):
         code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
                 f"if m.split('.')[0] == {unwanted!r}))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, timeout=60,
-                             env={**os.environ, "PYTHONPATH": path})
+                             text=True, check=True, timeout=60, env=CHILD_ENV)
         assert out.stdout.strip() == "[]", module
 
 
 def test_readme_examples_parse():
     # Every example in README's "Command line" block must be accepted as
     # written; the commands are parsed, not run.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Command line", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
     examples = [line for line in block.splitlines()
@@ -70,7 +81,7 @@ def test_readme_examples_parse():
 def test_readme_quick_start_runs(capsys):
     # The "Library quick start" block runs as written, and each printed line
     # matches its comment, where "..." stands for any text.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     comments = [line.split("# ", 1)[1] for line in block.splitlines()
@@ -796,3 +807,79 @@ class TestOneWriter:
             build_parser().parse_args([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert f"output format (default {args.format})" in text
+
+
+# name: (arguments before --out, exit code, stdout line count or None for
+# any, a pattern for all of stderr, whether --out is written)
+PROCESS_RUNS = {
+    "simulate": (("simulate", "--steps", "50"), 0, 2, "", True),
+    "off-norm-state": (("simulate", "--steps", "3", "--state", "2,0,0,0,0,0"),
+                       0, 2, r"warning: state norm was 2; normalizing\n", True),
+    "bad-coin": (("velocity", "--coin", "c3:0.5"), 2, 0,
+                 r'\{"error": "ConfigError", "message": "[^\n]*"\}\n', False),
+    "help": (("--help",), 0, None, "", False),
+    "usage-error": (("simulate", "--steps", "x"), 2, 0,
+                    r"usage: triwalk .*invalid int value: 'x'\n", False),
+}
+
+
+@pytest.mark.parametrize("name", PROCESS_RUNS)
+def test_process_output_matches_main(tmp_path, capsys, monkeypatch, name):
+    # `python -m triwalk.cli` ends through _process_main, which flushes
+    # stdout and stderr before os._exit: piped, nothing may be lost, and
+    # every byte is what main() prints and writes in process.
+    argv, code, n_lines, err_pattern, writes = PROCESS_RUNS[name]
+    child, here = tmp_path / "child", tmp_path / "main"
+    child.mkdir()
+    here.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "triwalk.cli", *argv, "--out", "out"],
+        cwd=child, env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    monkeypatch.chdir(here)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        status = main([*argv, "--out", "out"])
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert proc.returncode == status == code
+    assert proc.stdout == captured.out
+    assert proc.stderr == captured.err
+    assert n_lines is None or len(proc.stdout.splitlines()) == n_lines
+    assert re.fullmatch(err_pattern, proc.stderr, re.S)
+    assert (child / "out").exists() is (here / "out").exists() is writes
+    if writes:
+        assert (child / "out").read_bytes() == (here / "out").read_bytes()
+
+
+def test_every_process_entry_is_process_main():
+    # The installed script and `python -m triwalk.cli` take one exit path.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\ntriwalk = "(.+)"$', pyproject,
+                       re.M).group(1)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [call] = block.body
+    assert ast.unparse(call) == "_process_main()"
+    assert target == f"triwalk.cli:{call.value.func.id}"
+
+
+@pytest.mark.parametrize("stdout, code, err_pattern", [
+    ("closed", 0, ""),
+    ("/dev/full", 120, r"Exception ignored in: <_io\.TextIOWrapper "
+                       r"name='<stdout>'[^\n]*\nOSError: \[Errno 28\] .*\n"),
+], ids=["closed", "dev-full"])
+def test_process_with_unusable_stdout(tmp_path, stdout, code, err_pattern):
+    # With file descriptor 1 closed, Python sets sys.stdout to None and
+    # print() writes nothing: the run succeeds.  A flush that fails is left
+    # to the interpreter, which reports it and exits 120, as it always has.
+    with open(os.devnull if stdout == "closed" else stdout, "w") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triwalk.cli", "simulate", "--steps", "3",
+             "--out", "out"], cwd=tmp_path, env=CHILD_ENV, stdout=fh,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None)
+    assert proc.returncode == code
+    assert re.fullmatch(err_pattern, proc.stderr, re.S)
+    assert (tmp_path / "out").read_text().startswith("m,p\n")

@@ -340,3 +340,18 @@ class TestCoinSerialization:
         data = json.loads(coin_c2(0.5).to_json())
         with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\], got 2.0$"):
             Coin.from_json(json.dumps({**data, "parameter": 2}))
+
+    @pytest.mark.parametrize("family, bad, message", [
+        ("c1", math.nan, r"^phi must be finite, got nan$"),
+        ("c2", math.inf, r"^rho must lie in \[0, 1\], got inf$"),
+        ("custom", math.nan, "^" + SCHEMA),
+        ("grover", -math.inf, "^" + SCHEMA),
+    ])
+    def test_non_finite_parameter_keeps_its_message(self, family, bad,
+                                                    message):
+        # json.loads reads the literals NaN and Infinity.  The family's
+        # constructor, or the schema, refuses them before Coin's own check.
+        data = json.loads(coin_c2(0.5).to_json())
+        text = json.dumps({**data, "family": family, "parameter": bad})
+        with pytest.raises(ValueError, match=message):
+            Coin.from_json(text)

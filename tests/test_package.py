@@ -106,16 +106,34 @@ def test_records_refuse_non_finite_arrays(build, bad):
             dataclasses.replace(record, **{name: broken})
 
 
-@pytest.mark.parametrize("build", [
+# Each builder takes the value of its record's last field, a scalar.
+SCALARS = pytest.mark.parametrize("build", [
     lambda x: PeakVelocityResult(-0.5, 0.5, x),
     lambda x: Coin(grover_coin().matrix, CoinFamily.CUSTOM, x),
 ], ids=["PeakVelocityResult-k0", "Coin-parameter"])
+
+
+@SCALARS
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_records_refuse_non_finite_scalars(build, bad):
+    # The array contract holds for scalar fields too; None stays allowed.
+    with pytest.raises(ValueError, match="non-finite"):
+        build(bad)
+    assert build(None).to_json()
+    assert build(0.25).to_json()
+
+
+@SCALARS
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_json_refuses_non_finite_numbers(build, bad):
     # JSON has no NaN or Infinity: a record's JSON text raises instead of
-    # writing the literals, which a strict reader refuses.
+    # writing the literals, which a strict reader refuses.  The value is set
+    # past the constructor, which refuses it first.
+    record = build(0.25)
+    name = dataclasses.fields(record)[-1].name
+    object.__setattr__(record, name, bad)
     with pytest.raises(ValueError, match="not JSON compliant"):
-        build(bad).to_json()
+        record.to_json()
 
 
 # Calls that open a file: the builtin and the file methods of ``pathlib``.

@@ -1,11 +1,14 @@
 """Byte-identity manifest of the command-line output.
 
 Runs one fixed list of ``triwalk`` invocations in process through
-``triwalk.cli.main``, catching argparse's ``SystemExit``, and records for
-each the exit code and the SHA-256 of its stdout, its stderr and its
-``--out`` file.  An invocation that raises any other exception is recorded
-with the exit ``"raised <type>"``, so a crash in one tree shows as a
-difference instead of ending the run.  The work directory and the
+``triwalk.cli.main``, catching argparse's ``SystemExit``, and a few more as
+``python -m triwalk.cli`` child processes of the ``--src`` tree, so that the
+process's own exit path is covered; their keys start with ``python -m
+triwalk.cli`` instead of ``triwalk``.  For each it records the exit code
+and the SHA-256 of its stdout, its stderr and its ``--out`` file.  An
+in-process invocation that raises any other exception is recorded with the
+exit ``"raised <type>"``, so a crash in one tree shows as a difference
+instead of ending the run.  The work directory and the
 ``--src`` path are replaced by ``<work>`` and ``<src>`` before hashing, so
 manifests written from two source trees compare.  Digests depend on the machine and its BLAS build:
 compare only manifests written on one machine, and commit none.
@@ -26,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -70,6 +74,9 @@ MALFORMED = (
     {"family": "custom", "parameter": None,
      "matrix": [[10 ** 400, 0]] + GROVER_ENTRIES[1:]},
     {"family": "c1", "parameter": 10 ** 400, "matrix": GROVER_ENTRIES},
+    # A non-finite parameter, which the family or the schema refuses first.
+    {"family": "c1", "parameter": nan, "matrix": GROVER_ENTRIES},
+    {"family": "custom", "parameter": inf, "matrix": GROVER_ENTRIES},
     "[" * 200000 + "]" * 200000,  # raw text, nested past the recursion limit
     # json.dumps writes the literals NaN and Infinity, which json.loads reads.
     *({"family": "custom", "parameter": None,
@@ -171,6 +178,17 @@ def invocations() -> list[tuple[str, ...]]:
     return runs
 
 
+# Run as child processes: the output of a run, an off-norm state's warning,
+# a refused coin, argparse's help and a usage error.
+PROCESS = (
+    ("simulate", "--steps", "50", "--out", OUT),
+    ("simulate", "--steps", "50", "--state", "2,0,0,0,0,0", "--out", OUT),
+    ("velocity", "--coin", "c3:0.5", "--out", OUT),
+    ("--help",),
+    ("simulate", "--steps", "x", "--out", OUT),
+)
+
+
 def write_inputs(work: Path) -> None:
     """The seeded Haar, real orthogonal and cyclic flat coin files, a
     non-unitary one, and the malformed ones."""
@@ -213,23 +231,41 @@ def run_all(src: Path) -> dict[str, dict]:
         def mask(text: str) -> str:
             return text.replace(tmp, WORK).replace(src_text, SRC)
 
-        for argv in invocations():
+        def in_process(argv: list[str]) -> tuple[int | str, str, str]:
             out, err = io.StringIO(), io.StringIO()
             # A fresh warnings context shows each warning once per
             # invocation, as a new process would.
             with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 try:
-                    code = cli.main([a.replace(WORK, tmp) for a in argv])
+                    code = cli.main(argv)
                 except SystemExit as exc:
                     code = exc.code
                 except Exception as exc:
                     code = f"raised {type(exc).__name__}"
+            return code, out.getvalue(), err.getvalue()
+
+        # The child's piped stdout is block-buffered, as by default, so an
+        # unflushed line would be missing from its digest.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src_text
+
+        def child(argv: list[str]) -> tuple[int, str, str]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "triwalk.cli", *argv], cwd=work,
+                env=env, capture_output=True, text=True, timeout=600)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        runs = [(("triwalk",), in_process, argv) for argv in invocations()]
+        runs += [(("python", "-m", "triwalk.cli"), child, argv)
+                 for argv in PROCESS]
+        for prefix, run, argv in runs:
+            code, out, err = run([a.replace(WORK, tmp) for a in argv])
             out_file = work / "out"
-            manifest[" ".join(("triwalk", *argv))] = {
+            manifest[" ".join((*prefix, *argv))] = {
                 "exit": code,
-                "stdout": _digest(mask(out.getvalue())),
-                "stderr": _digest(mask(err.getvalue())),
+                "stdout": _digest(mask(out)),
+                "stderr": _digest(mask(err)),
                 "out": _digest(out_file.read_bytes())
                 if out_file.exists() else None,
             }
