@@ -78,18 +78,19 @@ def _freeze(record, name: str, dtype, shape=None) -> np.ndarray:
 
 
 def _finite(record, name: str) -> None:
-    """Refuse a NaN or an infinity in scalar field ``name``, by ``_freeze``'s
-    rule, with a ``ValueError``; ``None`` passes."""
+    """Refuse a NaN or an infinity in scalar field ``name``, real or
+    complex, by ``_freeze``'s rule, with a ``ValueError``; ``None`` passes."""
     value = getattr(record, name)
-    if value is not None and not math.isfinite(value):
+    if value is not None and not np.isfinite(value):
         raise ValueError(f"{type(record).__name__.lower()} {name} is "
                          f"non-finite: {value!r}")
 
 
 def _count(value, what: str) -> int:
-    """``value`` as an ``int``; anything but a non-negative integer is refused."""
+    """``value`` as an ``int``; anything but a non-negative integer is
+    refused, and so is a bool, as ``_is_number`` refuses it."""
     try:
-        count = operator.index(value)
+        count = -1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = -1
     if count < 0:
@@ -133,7 +134,8 @@ class Coin:
     matrix:
         3x3 complex array, unitary to within ``UNITARITY_TOL``.
     family:
-        Which constructor family the matrix belongs to.
+        Which constructor family the matrix belongs to: a ``CoinFamily`` or
+        its value, which is stored as the member; anything else is refused.
     parameter:
         Family parameter (phi in radians for C1, rho in [0, 1] for C2),
         None for parameter-free families; never NaN or infinite.
@@ -144,6 +146,7 @@ class Coin:
     parameter: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "family", CoinFamily(self.family))
         _finite(self, "parameter")
         m = _freeze(self, "matrix", np.complex128, (3, 3))
         dev = np.max(np.abs(m @ m.conj().T - np.eye(3)))

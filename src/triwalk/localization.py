@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coins import Coin, _count, _csv_text, _freeze, _to_json
+from .coins import Coin, _count, _csv_text, _finite, _freeze, _to_json
 from .spectral import DEFAULT_GRID, FLAT_BAND_TOL, dispersion_numeric
 from .walk import _walk, initial_state
 
@@ -119,7 +119,8 @@ class LocalizationReport:
     is derived from them: ``cesaro_windows``, ``trapping_estimate`` and
     ``converged`` are ``trapping_estimate(series)``, and ``flat_band`` is
     whether an eigenvalue is given, so none can disagree with them.  A
-    series that is not 1-D or has fewer than 200 points is refused.
+    series that is not 1-D or has fewer than 200 points is refused, and so
+    is an eigenvalue with a NaN or infinite part.
     """
 
     series: np.ndarray
@@ -130,6 +131,7 @@ class LocalizationReport:
     flat_band_eigenvalue: complex | None
 
     def __post_init__(self) -> None:
+        _finite(self, "flat_band_eigenvalue")
         est = trapping_estimate(_freeze(self, "series", float))
         flat = self.flat_band_eigenvalue is not None
         # TrappingEstimate's fields in their order, then the flat-band flag.

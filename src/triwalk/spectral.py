@@ -372,13 +372,9 @@ def _cubic_slopes(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
     near = np.zeros(em.size, dtype=bool)
     for row, (lam, dp) in zip(slopes, _cubic_roots(matrix, em, ep)):
         top = (lam - matrix[1, 1]) * tilt + rest
-        size = np.abs(dp)
-        small = size < _CUBIC_GAP
+        small = np.abs(dp) < _CUBIC_GAP
         near |= small
-        # Re(top / p') = Re(top conj(p')) / |p'|^2, in real arithmetic.
-        np.multiply(top.real, dp.real, out=row)
-        row += top.imag * dp.imag
-        row /= np.where(small, 1.0, size * size)
+        row[:] = (top / np.where(small, 1.0, dp)).real
     return slopes, near
 
 
@@ -410,17 +406,13 @@ def _flat_bound(matrix: np.ndarray, em: np.ndarray, ep: np.ndarray):
         largest = np.maximum(largest, size, out=largest)
     unsure = largest <= _CUBIC_GAP
     g[unsure] = 1.0
-    del others, largest
     p = _projector(matrix, ls, g, em, ep)
     s = p(2, 2).real - p(0, 0).real
     # |E|_F^2 entry by entry, with Delta_ii = i - 1.
     norm2 = sum(np.abs(p(i, j) * (s - (i - 1) - (j - 1)) + (i == j) * (i - 1)) ** 2
                 for i, j in product(range(3), repeat=2))
     s = np.abs(s)
-    bound = np.sqrt(np.maximum(2.0 * norm2 - s * s, 0.0), out=norm2)
-    bound += s
-    bound /= 2.0
-    bound = np.maximum(bound, s, out=bound)
+    bound = np.maximum((s + np.sqrt(np.maximum(2.0 * norm2 - s * s, 0.0))) / 2.0, s)
     bound[unsure] = np.inf
     return bound
 

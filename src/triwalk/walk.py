@@ -6,9 +6,9 @@ right.  After t steps the walker occupies at most the window [-t, t], and a
 ``WalkState`` stores exactly that window.  A walk steps between two
 component-major buffers wide enough for its last step: each step's coin
 product is written straight into its shifted place in the other buffer
-(see ``_walk``).  A complex walk, whose product comes from BLAS, makes it
-in a C-ordered product buffer first and copies it over, so that its bits
-stay those of the C-ordered product.  A walk whose coin and starting
+(see ``_walk``).  A complex walk, whose product comes from BLAS, takes
+it as a fresh C-ordered array and copies it over, so that its bits stay
+those of the C-ordered product.  A walk whose coin and starting
 amplitudes are real (Grover, every c2, the permutation coin, the state
 (1, -1, 1)/sqrt(3)) stays real, so it steps in ``float64`` with the bits
 of the complex product.  No renormalization is ever applied; norm drift
@@ -131,8 +131,8 @@ def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):
     A complex walk runs through BLAS ``zgemm``, which packs the window
     operand, so its memory order changes no bit.  A strided ``out`` would:
     numpy hands it to the transposed product, whose bits differ.  So a
-    complex walk keeps a C-ordered product buffer and copies it into
-    ``shifted`` in one strided assignment.
+    complex step takes the product as a fresh C-ordered array and copies
+    it into ``shifted`` in one strided assignment.
     """
     coin_t, amps = coin.matrix.T, amplitudes.T
     real = not (coin_t.imag.any() or amps.imag.any())
@@ -142,7 +142,6 @@ def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):
     bufs[0, :, half - t:half + t + 1] = amps
     shifted = [np.ndarray((max(2 * half - 1, 0), 3), b.dtype, b, strides=(
         b.itemsize, b.strides[0] + b.itemsize)) for b in bufs]
-    product = None if real else np.empty((2 * half + 1, 3), dtype=amps.dtype)
     yield bufs[0]
     for i, r in enumerate(radii):
         lo, hi = half - r, half + r + 1
@@ -151,7 +150,7 @@ def _walk(amplitudes: np.ndarray, coin: Coin, radii, half: int):
         if real:
             np.matmul(window, coin_t, out=out)
         else:
-            out[...] = np.matmul(window, coin_t, out=product[:hi - lo])
+            out[...] = window @ coin_t
         yield bufs[1 - i % 2]
 
 

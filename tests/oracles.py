@@ -166,10 +166,24 @@ def flat_band_trapped_probability(coin_matrix: np.ndarray, psi_c: np.ndarray,
                                   n_modes: int = 1024) -> float:
     """Infinite-time averaged origin probability from bound-state projection.
 
-    Projects the initial state onto the k-independent eigenvalue-1 eigenvector
-    of each momentum propagator and integrates; the midpoint rule converges
-    spectrally for this smooth periodic integrand.  Only valid for coins whose
-    flat-band eigenvalue is 1 and isolated (the deformation families).
+    ``trapped_profile`` at the origin, for a flat band at eigenvalue 1.
+    """
+    return float(trapped_profile(coin_matrix, psi_c, [0], n_modes)[0])
+
+
+def trapped_profile(coin_matrix: np.ndarray, psi_c: np.ndarray, sites,
+                    n_modes: int = 1024) -> np.ndarray:
+    """Infinite-time averaged probability p_inf(m) at each of ``sites``.
+
+    The amplitude at site m after t steps is mean_k exp(-ikm) U(k)^t psi_c
+    (see ``fft_evolve``), and only the flat bands survive the time average:
+    p_inf(m) = sum over flat lambda of |mean_k exp(-ikm) P_lambda(k) psi_c|^2.
+    Projects the initial state onto the k-independent eigenvalue-1
+    eigenvector of each momentum propagator and integrates; the midpoint
+    rule converges spectrally for this smooth periodic integrand.  Only valid
+    for coins whose flat-band eigenvalue is 1 and isolated on the grid: with
+    C00 != 0 it is the only flat one (see ``flat_eigenvalue``), so the sum
+    has one term, as for Grover and the deformation families.
     """
     ks = 2.0 * np.pi * (np.arange(n_modes) + 0.5) / n_modes
     a = propagators(coin_matrix, ks) - np.eye(3)
@@ -179,9 +193,9 @@ def flat_band_trapped_probability(coin_matrix: np.ndarray, psi_c: np.ndarray,
     if np.any(small):
         v[small] = np.cross(a[small, 0, :], a[small, 2, :])
     v /= np.linalg.norm(v, axis=1)[:, None]
-    overlaps = v.conj() @ psi_c
-    trapped = (overlaps[:, None] * v).mean(axis=0)
-    return float(np.sum(np.abs(trapped) ** 2))
+    trapped = (v.conj() @ psi_c)[:, None] * v
+    return np.array([np.sum(np.abs((np.exp(-1j * m * ks)[:, None] * trapped)
+                                   .mean(axis=0)) ** 2) for m in sites])
 
 
 def hf_velocity_range(coin_matrix: np.ndarray,

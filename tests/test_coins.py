@@ -284,6 +284,16 @@ class TestCoinInvariants:
         with pytest.raises(ValueError):
             Coin(np.eye(2))
 
+    def test_family_must_be_a_coin_family(self):
+        # A member's value is stored as the member, which the JSON text
+        # reads; anything else is refused.
+        coin = Coin(grover_coin().matrix, "grover")
+        assert coin.family is CoinFamily.GROVER
+        assert json.loads(coin.to_json())["family"] == "grover"
+        for bad in ("nonsense", None, 1):
+            with pytest.raises(ValueError, match="is not a valid CoinFamily"):
+                Coin(grover_coin().matrix, bad)
+
     def test_matrix_is_read_only(self):
         coin = grover_coin()
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import triwalk.localization as localization
 from oracles import (dispersion_analytic, flat_band_trapped_probability,
                      flat_cubic_residual, flat_eigenvalue, haar_unitary,
-                     random_state)
+                     random_state, trapped_profile)
 from triwalk.cli import build_parser, main, parse_state
 from triwalk.coins import (
     Coin,
@@ -32,6 +32,7 @@ from triwalk.localization import (
     trapping_estimate,
 )
 from triwalk.spectral import FLAT_BAND_TOL, dispersion_numeric
+from triwalk.walk import _walk, initial_state
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
 
@@ -39,6 +40,12 @@ PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
 # closed form: 0.03367350481121475.  The projection onto the flat band
 # follows Inui, Konno and Segawa, Phys. Rev. E 72, 056112 (2005).
 GROVER_TRAPPED_LIMIT = (5.0 - 2.0 * math.sqrt(6.0)) / 3.0
+
+# Grover's trapped profile falls by q^4 per site, with q = sqrt(3) - sqrt(2)
+# the c2 family's q at rho = 1/sqrt(3): (5 - 2 sqrt(6))^2 = 49 - 20 sqrt(6).
+GROVER_PROFILE_RATIO = 49.0 - 20.0 * math.sqrt(6.0)
+# Sites -5 .. 5 of a trapped profile; index 5 is the origin.
+SITES = np.arange(-5, 6)
 
 # Frozen Cesaro window averages of the engine's origin series at T = 1000.
 GROVER_WINDOWS_T1000 = (0.03441055122014052, 0.034226644512929026)
@@ -273,6 +280,66 @@ class TestTrappingEstimate:
         assert est.converged
 
 
+def profile_ratios(p):
+    """p_inf(m + 1) / p_inf(m) at 1 <= |m| <= 4 on both half-lines, from
+    the profile on ``SITES``."""
+    return np.r_[p[:4] / p[1:5], p[7:] / p[6:10]]
+
+
+class TestTrappedProfile:
+    """The time-averaged probability p_inf(m) at every site, not only m = 0."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_grover_ratio(self, seed):
+        # Measured within 2.5e-12 relative.
+        psi = PSI_SYM if seed is None else random_state(seed)
+        p = trapped_profile(grover_coin().matrix, psi, SITES)
+        assert_allclose(profile_ratios(p), GROVER_PROFILE_RATIO, rtol=1e-11)
+        q = 1.0 / math.sqrt(3.0) / (1.0 + math.sqrt(2.0 / 3.0))
+        assert q ** 4 == pytest.approx(GROVER_PROFILE_RATIO, rel=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=0.4, max_value=0.999),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_c2_profile_falls_by_q4_per_site(self, rho, seed):
+        # Measured within 1.1e-10 relative over 300 rho in [0.4, 0.999] and
+        # random states.  Below 0.4 the far sites sink towards rounding:
+        # p_inf(5) is 1e-22 at rho = 0.1.
+        q = rho / (1.0 + math.sqrt(1.0 - rho * rho))
+        p = trapped_profile(coin_c2(rho).matrix, random_state(seed), SITES)
+        assert_allclose(profile_ratios(p), q ** 4, rtol=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True)
+           .filter(lambda phi: abs(phi - math.pi / 2) > 0.05),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_c1_profile_is_grovers_at_every_site(self, phi, seed):
+        # c1 keeps Grover's eigenbasis and its flat band at 1.  Measured at
+        # most 3.1e-16 apart over 300 phi and random states.
+        psi = random_state(seed)
+        assert np.max(np.abs(
+            trapped_profile(coin_c1(phi).matrix, psi, SITES)
+            - trapped_profile(grover_coin().matrix, psi, SITES))) < 1e-15
+
+    @pytest.mark.parametrize("name", ["grover", "c1(0.6)", "c2(0.4)",
+                                      "c2(0.9)"])
+    def test_walk_time_average_meets_profile(self, name):
+        # The mean of p(m, t) over t in [2000, 4000) lies above p_inf(m) by
+        # what the dispersing bands still leave near the origin: measured
+        # 5.3e-5 (c2(0.9)) to 2.95e-4 (c1(0.6)) at |m| <= 6, nearly the
+        # same at every site.
+        coin = {"grover": grover_coin(), "c1(0.6)": coin_c1(0.6),
+                "c2(0.4)": coin_c2(0.4), "c2(0.9)": coin_c2(0.9)}[name]
+        half, total = 4000, np.zeros(13)
+        walk = _walk(initial_state(PSI_SYM).amplitudes, coin, range(3999), half)
+        for t, buf in enumerate(walk):
+            if t >= 2000:
+                total += np.sum(np.abs(buf[:, half - 6:half + 7]) ** 2, axis=0)
+        gap = total / 2000 - trapped_profile(coin.matrix, PSI_SYM,
+                                             np.arange(-6, 7))
+        assert np.all((0.0 < gap) & (gap < 4e-4)), gap
+
+
 class TestFlatBandDetect:
     def test_grover(self):
         flat, lam = flat_band_detect(grover_coin())
@@ -418,6 +485,17 @@ class TestLocalizationReport:
         with pytest.raises(ValueError, match="^trapping estimate needs a "
                                              "series of at least 200 points$"):
             LocalizationReport(series, None)
+
+    @pytest.mark.parametrize("bad", [
+        complex(math.nan, 0.0), complex(0.0, math.nan),
+        complex(math.inf, 0.0), complex(0.5, -math.inf)])
+    def test_non_finite_eigenvalue_refused(self, bad):
+        # Either part may be NaN or infinite; JSON could hold neither.
+        with pytest.raises(ValueError, match="^localizationreport "
+                                             "flat_band_eigenvalue is "
+                                             "non-finite: "):
+            LocalizationReport(np.ones(300), bad)
+        assert LocalizationReport(np.ones(300), 1 + 0j).to_json()
 
     def test_summary_is_derived_from_the_series(self):
         report = localization_report(grover_coin(), PSI_SYM, 300)

@@ -110,7 +110,9 @@ def test_records_refuse_non_finite_arrays(build, bad):
 SCALARS = pytest.mark.parametrize("build", [
     lambda x: PeakVelocityResult(-0.5, 0.5, x),
     lambda x: Coin(grover_coin().matrix, CoinFamily.CUSTOM, x),
-], ids=["PeakVelocityResult-k0", "Coin-parameter"])
+    lambda x: LocalizationReport(np.ones(200), x),
+], ids=["PeakVelocityResult-k0", "Coin-parameter",
+        "LocalizationReport-flat_band_eigenvalue"])
 
 
 @SCALARS

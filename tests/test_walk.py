@@ -496,7 +496,9 @@ class TestInPlaceBuffer:
 
 
 class TestIntegerTimes:
-    @pytest.mark.parametrize("time", [1.0, 1.5, "1", None])
+    # A bool is an int to Python, but not a count, as coin files refuse it
+    # as a number.
+    @pytest.mark.parametrize("time", [1.0, 1.5, "1", None, True, False])
     def test_state_time_must_be_an_integer(self, time):
         with pytest.raises(ValueError, match="^time must be a non-negative "
                                              "integer, got "):
@@ -512,7 +514,7 @@ class TestIntegerTimes:
         assert type(state.time) is int
         assert state.time == 1
 
-    @pytest.mark.parametrize("steps", [2.0, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("steps", [2.0, np.float64(2.0), "2", True, False])
     def test_steps_must_be_an_integer(self, steps):
         with pytest.raises(ValueError, match="^step count must be a "
                                              "non-negative integer, got "):
