@@ -28,6 +28,7 @@ import enum
 import functools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -77,13 +78,18 @@ def _freeze(record, name: str, dtype, shape=None) -> np.ndarray:
     return value
 
 
-def _finite(record, name: str) -> None:
-    """Refuse a NaN or an infinity in scalar field ``name``, real or
-    complex, by ``_freeze``'s rule, with a ``ValueError``; ``None`` passes."""
+def _finite(record, name: str, real: bool = True) -> None:
+    """Refuse a NaN or an infinity in scalar field ``name`` by ``_freeze``'s
+    rule, with a ``ValueError``; ``None`` passes.  A ``real`` field refuses
+    anything but a real number too: a complex value, a bool, a string."""
     value = getattr(record, name)
-    if value is not None and not np.isfinite(value):
-        raise ValueError(f"{type(record).__name__.lower()} {name} is "
-                         f"non-finite: {value!r}")
+    if value is None:
+        return
+    label = f"{type(record).__name__.lower()} {name}"
+    if real and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{label} must be a real number, got {value!r}")
+    if not np.isfinite(value):
+        raise ValueError(f"{label} is non-finite: {value!r}")
 
 
 def _count(value, what: str) -> int:
@@ -138,7 +144,8 @@ class Coin:
         its value, which is stored as the member; anything else is refused.
     parameter:
         Family parameter (phi in radians for C1, rho in [0, 1] for C2),
-        None for parameter-free families; never NaN or infinite.
+        None for parameter-free families; a real number, never NaN or
+        infinite, complex or a bool.
     """
 
     matrix: np.ndarray
@@ -275,6 +282,14 @@ def grover_eigensystem() -> EigenSystem:
                        np.column_stack([v1, v2, v3]))
 
 
+@functools.cache
+def _grover_projectors() -> np.ndarray:
+    """The projectors of ``grover_eigensystem()``, built once; read-only."""
+    projectors = grover_eigensystem().projectors
+    projectors.setflags(write=False)
+    return projectors
+
+
 def permutation_coin() -> Coin:
     """Coin that swaps L and R and fixes S; the walk bounces in place."""
     return Coin(_EXCHANGE.copy(), CoinFamily.PERMUTATION_PI)
@@ -314,8 +329,7 @@ def coin_c1(phi: float) -> Coin:
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     phi = phi % math.pi
-    es = grover_eigensystem()
-    p1, p2, p3 = es.projectors
+    p1, p2, p3 = _grover_projectors()
     m = -np.exp(2j * phi) * p1 - p2 + p3
     return Coin(m, CoinFamily.C1, phi)
 

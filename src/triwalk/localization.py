@@ -131,7 +131,7 @@ class LocalizationReport:
     flat_band_eigenvalue: complex | None
 
     def __post_init__(self) -> None:
-        _finite(self, "flat_band_eigenvalue")
+        _finite(self, "flat_band_eigenvalue", real=False)
         est = trapping_estimate(_freeze(self, "series", float))
         flat = self.flat_band_eigenvalue is not None
         # TrappingEstimate's fields in their order, then the flat-band flag.

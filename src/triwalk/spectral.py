@@ -22,7 +22,11 @@ to about 2e-10, so a coin whose bands they find all flat needs only its
 marked samples bounded: there a closed-form bound on every band's slope,
 built from the projector of the best separated eigenvalue, decides.  The
 flat endpoints of both families and the flat cyclic coins pass it and need
-no eigensolve at all.
+no eigensolve at all.  A coin that commutes with the L<->R exchange P has
+U(2pi - k) = P U(k) P, so its slopes at 2pi - k are those at k, negated;
+when its matrix equals its mirror image exactly, the coarse pass solves
+the cubic on half the zone only.  Every eigensolve takes at most
+``_EIG_BLOCK`` matrices at a time.
 
 Dispersion tables track branches across the momentum grid by phase
 continuation against a linear prediction (unwrapped, so a branch may wind
@@ -76,8 +80,9 @@ _CUBIC_GAP = 1e-3
 _TIE_MARGIN = 1e-8
 # The cube roots of unity.
 _UNITY = np.exp(_TWO_PI / 3.0 * 1j * np.arange(3))
-# Coins whose centres one zoom refines together; bounds the zoom's arrays.
-_ZOOM_BLOCK = 128
+# Most 3x3 matrices one eigensolve takes: the grid's eigenvector pass runs
+# over this many samples at a time, and a zoom over as many coins as fit.
+_EIG_BLOCK = 512
 
 
 class BranchTrackingError(Exception):
@@ -459,8 +464,9 @@ class PeakVelocityResult:
 
     ``v_right``/``v_left`` are the extremal group velocities in sites per
     step; ``k0`` is the stationary wavenumber they are attained at, when one
-    was identified, else None; a NaN or infinite ``k0`` is refused.  The CSV
-    and JSON text also carry a ``method`` field, always ``"numeric"``.
+    was identified, else None; a NaN, infinite, complex or bool ``k0`` is
+    refused, with a ``ValueError``.  The CSV and JSON text also carry a
+    ``method`` field, always ``"numeric"``.
     """
 
     v_left: float
@@ -506,12 +512,14 @@ def peak_velocities_numeric(coin: Coin,
     cubic errs by far less than that margin, so the grid extremes, the
     first sample attaining each (parity-symmetric coins have mirror-image
     ties) and the results are exactly those of eigenvector slopes on the
-    whole grid.  A coin whose projector slopes are all flat, and whose
-    marked samples the closed-form ``_flat_bound`` certifies flat, skips
-    that pass; the pass would find it flat too (see ``_peak_velocities``).
-    The velocities are good to rounding; k0 only to about 1e-7 rad,
-    although it is printed with 17 digits, because the slope is flat to
-    second order at its maximum (see ``_zoom``).
+    whole grid.  A coin that is its own L<->R mirror image solves the cubic
+    on half the zone and mirrors its slopes onto the rest.  A coin whose
+    projector slopes are all flat, and whose marked samples the closed-form
+    ``_flat_bound`` certifies flat, skips that pass; the pass would find it
+    flat too (see ``_peak_velocities``, which also states the half-zone
+    rule and its error budget).  The velocities are good to rounding; k0
+    only to about 1e-7 rad, although it is printed with 17 digits, because
+    the slope is flat to second order at its maximum (see ``_zoom``).
     """
     return PeakVelocityResult(*_peak_velocities(coin.matrix[None], n_samples)[0])
 
@@ -525,7 +533,8 @@ def _peak_velocities(matrices: np.ndarray, n_samples: int,
 
     Each coin takes its own grid pass, which keeps only the grid samples the
     zoom starts from.  One ``_zoom`` then refines the centres of every coin
-    that is not flat, ``_ZOOM_BLOCK`` coins at a time, so the arrays of a
+    that is not flat, as many coins at a time as keep its first pass (nine
+    samples per centre) within ``_EIG_BLOCK`` matrices, so the arrays of a
     pass stay the same size however many coins there are.  Each 3x3 is
     still solved on its own, so every result has the bits of a call per
     coin.  With ``left=False`` only the maximum is refined, for callers that
@@ -540,39 +549,67 @@ def _peak_velocities(matrices: np.ndarray, n_samples: int,
     projector slopes are those of every band, to about 2e-10, and the
     eigenvector slopes exceed the bound by rounding only, so the grid pass
     below would call such a coin flat as well; every other coin takes that
-    pass.
+    pass.  It recomputes the marked and tying samples ``_EIG_BLOCK`` at a
+    time, which keeps its arrays small however many samples tie (every one,
+    on c2(1)); LAPACK solves each 3x3 on its own, so the blocks change no bit.
+
+    Half the zone serves a coin whose matrix equals ``matrix[::-1, ::-1]``
+    exactly, which is to say commutes with the L<->R exchange P: there
+    U(2pi - k) = P U(k) P, and the band slopes at 2pi - k are those at k,
+    negated.  The cubic then runs on samples 0 .. n // 2 alone, and sample
+    n - j takes the top slope -bottom[j], the bottom slope -top[j] and the
+    mark near[j].  The mirrored values differ from the cubic's own at n - j
+    by the grid's rounding of 2pi - k_j, which moves an unmarked slope by
+    about 1e-12; with the cubic's own 2e-10 that stays far below
+    ``_TIE_MARGIN``, and the samples that are recomputed are solved at their
+    own k.  So the grid extremes, and the first sample attaining each, are
+    still those of eigenvector slopes over the whole grid.
     """
     ks = _grid(n_samples, "velocity grid")
+    n = ks.size
     em = np.exp(-1j * ks)
     ep = em.conj()
+    # Samples half .. n - 1 mirror samples n - half .. 1 (see above).
+    half = n // 2 + 1
+    back = slice(n - half, 0, -1)
     centers = np.zeros((len(matrices), 2))
     live = np.zeros(len(matrices), dtype=bool)
     for i, matrix in enumerate(matrices):
-        slopes, near = _cubic_slopes(matrix, em, ep)
+        mirror = np.array_equal(matrix, matrix[::-1, ::-1])
+        m = half if mirror else n
+        slopes, near = _cubic_slopes(matrix, em[:m], ep[:m])
         top, bottom = slopes.max(axis=0), slopes.min(axis=0)
+        if mirror:
+            top, bottom = (np.concatenate([top, -bottom[back]]),
+                           np.concatenate([bottom, -top[back]]))
+            near = np.concatenate([near, near[back]])
         # Slopes lie in [-1, 1], so +-2 stand for "no unmarked sample".
         high = top.max(where=~near, initial=-2.0)
         low = bottom.min(where=~near, initial=2.0)
         if max(high, -low) < FLAT_BAND_TOL / 2 and np.all(
                 _flat_bound(matrix, em[near], ep[near]) < FLAT_BAND_TOL / 2):
             continue
-        exact = near | (top >= high - _TIE_MARGIN) | (bottom <= low + _TIE_MARGIN)
-        fixed = _band_slopes(matrix, ks[exact])
-        top[exact], bottom[exact] = fixed.max(axis=1), fixed.min(axis=1)
+        exact = np.flatnonzero(near | (top >= high - _TIE_MARGIN)
+                               | (bottom <= low + _TIE_MARGIN))
+        for start in range(0, exact.size, _EIG_BLOCK):
+            part = exact[start:start + _EIG_BLOCK]
+            fixed = _band_slopes(matrix, ks[part])
+            top[part], bottom[part] = fixed.max(axis=1), fixed.min(axis=1)
         if max(top.max(), -bottom.min()) >= FLAT_BAND_TOL:
             live[i] = True
             centers[i] = ks[[np.argmax(top), np.argmin(bottom)]]
     sign = np.array([1.0, -1.0] if left else [1.0])[:, None, None]
     results = [(0.0, 0.0, None)] * len(matrices)
     index = np.flatnonzero(live)
-    for start in range(0, index.size, _ZOOM_BLOCK):
-        block = index[start:start + _ZOOM_BLOCK]
+    coins = _EIG_BLOCK // (9 * sign.size)
+    for start in range(0, index.size, coins):
+        block = index[start:start + coins]
         stack = matrices[block][:, None, None]
         k, v = _zoom(lambda kk: (sign * _band_slopes(stack, kk)).max(axis=-1),
-                     centers[block, :sign.size], _TWO_PI / ks.size)
+                     centers[block, :sign.size], _TWO_PI / n)
         for i, k_i, v_i in zip(block, k, v):
             k0 = float(k_i[0]) % _TWO_PI
-            k0 = min(k0, _TWO_PI - k0) if ks.size >= 256 else None
+            k0 = min(k0, _TWO_PI - k0) if n >= 256 else None
             results[i] = (-float(v_i[1]) if left else math.nan, float(v_i[0]), k0)
     return results
 

@@ -31,7 +31,9 @@ from triwalk.localization import (
     origin_series,
     trapping_estimate,
 )
-from triwalk.spectral import FLAT_BAND_TOL, dispersion_numeric
+from test_spectral import eigenvector_peak_search
+from triwalk.spectral import (FLAT_BAND_TOL, dispersion_numeric,
+                              peak_velocities_numeric)
 from triwalk.walk import _walk, initial_state
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
@@ -417,6 +419,89 @@ class TestFlatBandDetect:
             flat_band_detect(grover_coin(), n_samples=256.7)
         assert flat_band_detect(grover_coin(), np.int64(256)) == \
             flat_band_detect(grover_coin(), 256)
+
+
+def composed_coin(phi: float, rho: float) -> Coin:
+    """c1's eigenvalue phase on c2(rho)'s eigenvectors, as a CUSTOM coin:
+    -exp(2i phi) v1 v1^dag - v2 v2^dag + v3 v3^dag."""
+    s = math.sqrt(1.0 - rho * rho)
+    v1 = np.array([rho / math.sqrt(2.0), -s, rho / math.sqrt(2.0)])
+    v2 = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
+    v3 = np.array([s / math.sqrt(2.0), rho, s / math.sqrt(2.0)])
+    return Coin(-np.exp(2j * phi) * np.outer(v1, v1) - np.outer(v2, v2)
+                + np.outer(v3, v3))
+
+
+def phase_conjugate(rho: float, theta: float, phases) -> Coin:
+    """exp(i theta) D c2(rho) D^dag with D = diag(exp(i phases)), a CUSTOM
+    coin.  D commutes with diag(exp(-ik), 1, exp(ik)), so U(k) is conjugated
+    by D too and every band keeps its shape, shifted by theta."""
+    d = np.exp(1j * np.asarray(phases))
+    return Coin(np.exp(1j * theta) * d[:, None] * coin_c2(rho).matrix
+                * d.conj())
+
+
+# Away from c2's band touching at rho = 1 and from the corner C00 =
+# -rho^2 (exp(2i phi) + 1) / 2 vanishing, where the oracle is ill-conditioned.
+RHOS = st.floats(min_value=0.2, max_value=0.99)
+PHIS = st.floats(min_value=0.0, max_value=1.4)
+ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
+GRIDS = st.sampled_from([17, 256, 1000, 4096])
+
+
+class TestBeyondTheFamilies:
+    # Localization is a flat band, and the flat band survives coins the
+    # package has no name for: c1's phase on c2's eigenvectors, and
+    # diagonal-phase conjugates of c2.  Composed coins are their own L<->R
+    # mirror image, so their peak search takes half the zone; conjugates
+    # generally are not, and take the whole zone.
+    @staticmethod
+    def assert_flat_at(coin, eigenvalue):
+        flat, lam = flat_band_detect(coin, 1024)
+        exact = flat_eigenvalue(coin.matrix)
+        assert flat and exact is not None
+        assert abs(lam - exact) < 1e-9
+        assert abs(lam - eigenvalue) < 1e-9
+
+    @staticmethod
+    def assert_peak_search_exact(coin, n):
+        res = peak_velocities_numeric(coin, n)
+        assert (res.v_left, res.v_right, res.k0) == \
+            eigenvector_peak_search(coin, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(PHIS, RHOS, GRIDS)
+    def test_composed_coin_keeps_flat_band(self, phi, rho, n):
+        coin = composed_coin(phi, rho)
+        assert np.array_equal(coin.matrix, coin.matrix[::-1, ::-1])
+        self.assert_flat_at(coin, 1.0)
+        self.assert_peak_search_exact(coin, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(RHOS, ANGLES, st.tuples(ANGLES, ANGLES, ANGLES), GRIDS)
+    def test_phase_conjugate_keeps_flat_band(self, rho, theta, phases, n):
+        coin = phase_conjugate(rho, theta, phases)
+        self.assert_flat_at(coin, np.exp(1j * theta))
+        self.assert_peak_search_exact(coin, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), GRIDS)
+    def test_haar_coin_has_no_flat_band(self, seed, n):
+        coin = Coin(haar_unitary(seed))
+        assert flat_band_detect(coin, 1024) == (False, None)
+        assert flat_eigenvalue(coin.matrix) is None
+        self.assert_peak_search_exact(coin, n)
+
+    def test_composed_peak_velocity(self):
+        # Not sqrt(3) rho v_c1(phi) = 0.235: the deformations do not
+        # compose in the velocity.
+        res = peak_velocities_numeric(composed_coin(0.6, 0.4))
+        assert res.v_right == pytest.approx(0.18637, abs=5e-6)
+        assert res.v_left == pytest.approx(-0.18637, abs=5e-6)
+
+    def test_conjugate_is_not_a_mirror_image(self):
+        m = phase_conjugate(0.4, 0.7, (0.1, 0.5, -1.0)).matrix
+        assert not np.array_equal(m, m[::-1, ::-1])
 
 
 class TestLocalizationReport:

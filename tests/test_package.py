@@ -125,6 +125,24 @@ def test_records_refuse_non_finite_scalars(build, bad):
     assert build(0.25).to_json()
 
 
+@pytest.mark.parametrize("build", [
+    lambda x: PeakVelocityResult(-0.5, 0.5, x),
+    lambda x: Coin(grover_coin().matrix, CoinFamily.CUSTOM, x),
+], ids=["PeakVelocityResult-k0", "Coin-parameter"])
+@pytest.mark.parametrize("bad", [1j, complex(0.5, 0.0), np.complex128(0.5),
+                                 True, False, np.bool_(True)],
+                         ids=["1j", "0.5+0j", "complex128", "True", "False",
+                              "bool_"])
+def test_real_scalars_refuse_complex_and_bool(build, bad):
+    # A complex value would write [re, im] to JSON and a bool `true`, which
+    # Coin.from_json refuses; the CSV would write `1j`.  Real numbers of
+    # every kind pass.
+    with pytest.raises(ValueError, match="must be a real number, got "):
+        build(bad)
+    for good in (1, 0.25, np.float64(0.25), np.int64(1), np.float32(0.25)):
+        assert build(good).to_json()
+
+
 @SCALARS
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_json_refuses_non_finite_numbers(build, bad):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import triwalk.spectral as spectral
 from oracles import dispersion_analytic, haar_unitary, propagators
+from triwalk.cli import _FAMILIES
 from triwalk.coins import (Coin, InvariantViolation, coin_c1, coin_c2,
                            fourier_coin, grover_coin, permutation_coin)
 from triwalk.spectral import (
@@ -532,7 +533,7 @@ class TestFlatCertificate:
         band_slopes = spectral._band_slopes
 
         def counted(matrix, ks):
-            calls.append(ks.shape)
+            calls.append(ks.copy())
             return band_slopes(matrix, ks)
 
         monkeypatch.setattr(spectral, "_band_slopes", counted)
@@ -558,7 +559,7 @@ class TestFlatCertificate:
         want = eigenvector_peak_search(coin, 4096)
         calls = self.count_band_slopes(monkeypatch)
         res = peak_velocities_numeric(coin, 4096)
-        assert calls[0] == (4096,)
+        assert_blocks_cover_grid(calls, ks)
         assert (res.v_left, res.v_right, res.k0) == want
 
     QUIET = {**NAMED, **FALL_BACK, "identity": Coin(np.eye(3))}
@@ -576,6 +577,113 @@ class TestFlatCertificate:
             peak_velocities_numeric(coin, 4096)
         assert not np.isnan(bound).any()
         assert np.isinf(bound[0]) == (name == "identity")
+
+
+def assert_blocks_cover_grid(calls, ks):
+    """The grid's eigenvector pass (the 1-D calls) ran over every sample of
+    ``ks``, in order, at most ``_EIG_BLOCK`` samples per call."""
+    grid = [k for k in calls if k.ndim == 1]
+    assert grid and max(k.size for k in grid) <= spectral._EIG_BLOCK
+    assert np.array_equal(np.concatenate(grid), ks)
+
+
+def mirror_haar(seed: int) -> Coin:
+    """A random coin that commutes with the L<->R exchange P, equal to its
+    mirror image bit for bit.  Unlike the named families', its slopes at one
+    k are not symmetric about zero, so only the mirror k -> 2pi - k maps its
+    top slope onto its bottom one."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    block = np.zeros((3, 3), dtype=complex)
+    block[:2, :2] = q * (np.diag(r) / np.abs(np.diag(r)))
+    block[2, 2] = np.exp(1j * rng.uniform(-math.pi, math.pi))
+    # Columns: the even vectors (1, 0, 1)/sqrt(2) and (0, 1, 0) of P, then
+    # its odd vector (1, 0, -1)/sqrt(2).
+    a = 1.0 / math.sqrt(2.0)
+    basis = np.array([[a, 0.0, a], [0.0, 1.0, 0.0], [a, 0.0, -a]])
+    m = basis @ block @ basis.T
+    return Coin((m + m[::-1, ::-1]) / 2.0)
+
+
+class TestHalfZone:
+    # A coin equal to its L<->R mirror image solves the cubic on samples
+    # 0 .. n // 2 and mirrors the rest; any other coin on the whole grid.
+    # Either way the results are the eigenvector search's, bit for bit.
+    MIRROR = {"grover": grover_coin(), "c1:0.6": coin_c1(0.6),
+              "c1:2.0": coin_c1(2.0), "c2:0.3": coin_c2(0.3),
+              "c2:1-1e-9": coin_c2(1.0 - 1e-9), "c2:1": coin_c2(1.0),
+              **{f"mirror-haar{seed}": mirror_haar(seed) for seed in range(3)}}
+
+    @staticmethod
+    def cubic_sizes(monkeypatch):
+        sizes = []
+        cubic_slopes = spectral._cubic_slopes
+
+        def counted(matrix, em, ep):
+            sizes.append(em.size)
+            return cubic_slopes(matrix, em, ep)
+
+        monkeypatch.setattr(spectral, "_cubic_slopes", counted)
+        return sizes
+
+    @pytest.mark.parametrize("family, points", [("c1", 50), ("c2", 6)])
+    def test_sweep_matrices_match_eigenvector_search(self, family, points):
+        # The coins of `sweep --family ... --points ...`, through the
+        # sweep's own call.
+        make, top = _FAMILIES[family]
+        coins = [make(p) for p in np.linspace(0.0, top, points)]
+        got = spectral._peak_velocities(np.array([c.matrix for c in coins]),
+                                        4096, left=False)
+        want = [eigenvector_peak_search(c, 4096) for c in coins]
+        assert bits((math.nan, *g[1:]) for g in got) == bits(
+            (math.nan, *w[1:]) for w in want)
+
+    @pytest.mark.parametrize("n", [16, 17, 4096])
+    @pytest.mark.parametrize("name", MIRROR)
+    def test_mirror_coin_solves_half_the_zone(self, name, n, monkeypatch):
+        coin = self.MIRROR[name]
+        want = eigenvector_peak_search(coin, n)
+        sizes = self.cubic_sizes(monkeypatch)
+        res = peak_velocities_numeric(coin, n)
+        assert sizes == [n // 2 + 1]
+        assert bits([(res.v_left, res.v_right, res.k0)]) == bits([want])
+
+    @pytest.mark.parametrize("n", [16, 17, 4096])
+    @pytest.mark.parametrize("name", MIRROR)
+    def test_one_ulp_off_takes_the_whole_zone(self, name, n, monkeypatch):
+        m = self.MIRROR[name].matrix.copy()
+        m[0, 0] = complex(np.nextafter(m[0, 0].real, 2.0), m[0, 0].imag)
+        coin = Coin(m)
+        want = eigenvector_peak_search(coin, n)
+        sizes = self.cubic_sizes(monkeypatch)
+        res = peak_velocities_numeric(coin, n)
+        assert sizes == [n]
+        assert bits([(res.v_left, res.v_right, res.k0)]) == bits([want])
+
+    @pytest.mark.parametrize("coin", [coin_c2(1.0), coin_c2(1e-8),
+                                      coin_c2(6e-9)],
+                             ids=["c2:1", "c2:1e-8", "c2:6e-9"])
+    def test_eigenvector_pass_in_blocks(self, coin, monkeypatch):
+        # Every sample of these coins ties or is marked.
+        ks = np.arange(4096) * (2 * math.pi / 4096)
+        want = eigenvector_peak_search(coin, 4096)
+        calls = TestFlatCertificate.count_band_slopes(monkeypatch)
+        res = peak_velocities_numeric(coin, 4096)
+        assert_blocks_cover_grid(calls, ks)
+        assert (res.v_left, res.v_right, res.k0) == want
+
+    def test_ties_everywhere_peak_no_higher(self):
+        # c2(1) ties at every sample, c2(0.5) at a few: with the eigenvector
+        # pass in blocks both peak at the cubic's arrays.
+        def traced_peak(coin):
+            tracemalloc.start()
+            try:
+                peak_velocities_numeric(coin, 4096)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(coin_c2(1.0)) <= 1.25 * traced_peak(coin_c2(0.5))
 
 
 def bits(results):
@@ -613,6 +721,9 @@ class TestBatchedPeakSearch:
         assert spectral._peak_velocities(
             np.array([c.matrix for c in coins]), 256) == [(0.0, 0.0, None)] * 3
 
+    # Coins per zoom block: nine samples at each of two centres.
+    BLOCK = spectral._EIG_BLOCK // 18
+
     def test_stack_larger_than_one_block(self, monkeypatch):
         blocks = []
         zoom = spectral._zoom
@@ -623,18 +734,18 @@ class TestBatchedPeakSearch:
 
         monkeypatch.setattr(spectral, "_zoom", counted)
         coins = [coin_c2(rho) for rho in
-                 np.linspace(0.0, 1.0, spectral._ZOOM_BLOCK + 3)]
+                 np.linspace(0.0, 1.0, self.BLOCK + 3)]
         coins += [Coin(haar_unitary(seed)) for seed in range(3)]
         got = self.batch(coins, 17)
         # c2(0) is flat and takes no part in the zoom.
-        assert blocks == [spectral._ZOOM_BLOCK, 5]
+        assert blocks == [self.BLOCK, 5]
         assert got == bits(eigenvector_peak_search(c, 17) for c in coins)
 
     def test_memory_bounded_by_the_block(self):
         # Four blocks of coins peak no higher than one: the zoom's arrays
         # hold one block at a time.
         stack = np.array([coin_c2(rho).matrix for rho in
-                          np.linspace(0.05, 0.95, 4 * spectral._ZOOM_BLOCK)])
+                          np.linspace(0.05, 0.95, 4 * self.BLOCK)])
 
         def traced_peak(matrices):
             tracemalloc.start()
@@ -644,7 +755,7 @@ class TestBatchedPeakSearch:
             finally:
                 tracemalloc.stop()
 
-        one = traced_peak(stack[:spectral._ZOOM_BLOCK])
+        one = traced_peak(stack[:self.BLOCK])
         assert traced_peak(stack) <= 1.25 * one
 
 
