@@ -13,7 +13,6 @@ flat-band structure:
 - coin_c2(rho): eigenvector deformation, reflecting at rho=0, transmitting
   at rho=1, Grover at rho=1/sqrt(3)
 - fourier_coin(): 3x3 discrete Fourier matrix, a control coin with no flat band
-- coin_from_spectral(): build a custom coin from an eigenbasis and phases
 
 Every constructor returns an immutable, unitarity-checked :class:`Coin`.
 eigensystem_of() decomposes any coin, named or custom, by the same numeric
@@ -31,7 +30,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,14 +39,12 @@ __all__ = [
     "Coin",
     "EigenSystem",
     "grover_coin",
-    "grover_eigensystem",
     "permutation_coin",
     "reflecting_coin",
     "transmitting_coin",
     "fourier_coin",
     "coin_c1",
     "coin_c2",
-    "coin_from_spectral",
     "eigensystem_of",
 ]
 
@@ -119,7 +115,7 @@ class CoinFamily(enum.Enum):
     GROVER is ``grover_coin``, C1 ``coin_c1``, C2 ``coin_c2``,
     PERMUTATION_PI ``permutation_coin``, TRIVIAL_C ``reflecting_coin`` and
     TRIVIAL_C_PRIME ``transmitting_coin``; CUSTOM is any other matrix,
-    ``fourier_coin`` and ``coin_from_spectral`` included.
+    ``fourier_coin`` included.
     """
 
     GROVER = "grover"
@@ -260,12 +256,6 @@ class EigenSystem:
         if np.max(np.abs(gram - np.eye(3))) > UNITARITY_TOL:
             raise InvariantViolation("eigenvectors are not orthonormal")
 
-    @property
-    def projectors(self) -> np.ndarray:
-        """Rank-one projectors P_j = v_j v_j^dag, shape (3, 3, 3)."""
-        v = self.eigenvectors
-        return np.stack([np.outer(v[:, j], v[:, j].conj()) for j in range(3)])
-
 
 def grover_coin() -> Coin:
     """The 3x3 Grover coin: diagonal entries -1/3, off-diagonal 2/3."""
@@ -273,21 +263,13 @@ def grover_coin() -> Coin:
     return Coin(m, CoinFamily.GROVER)
 
 
-def grover_eigensystem() -> EigenSystem:
-    """Eigenbasis of the Grover coin: eigenvalues (-1, -1, 1)."""
-    v1 = np.array([1.0, -2.0, 1.0]) / math.sqrt(6.0)
-    v2 = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
-    v3 = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    return EigenSystem(np.array([-1.0, -1.0, 1.0], dtype=complex),
-                       np.column_stack([v1, v2, v3]))
-
-
-@functools.cache
-def _grover_projectors() -> np.ndarray:
-    """The projectors of ``grover_eigensystem()``, built once; read-only."""
-    projectors = grover_eigensystem().projectors
-    projectors.setflags(write=False)
-    return projectors
+# Rank-one projectors v v^dag of the Grover eigenbasis, for the eigenvalues
+# (-1, -1, 1) in that order; coin_c1 turns the phase of the first.
+_GROVER_PROJECTORS = np.stack([np.outer(v, v.conj()) for v in np.array([
+    np.array([1.0, -2.0, 1.0]) / math.sqrt(6.0),
+    np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0),
+    np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)], dtype=np.complex128)])
+_GROVER_PROJECTORS.setflags(write=False)
 
 
 def permutation_coin() -> Coin:
@@ -329,7 +311,7 @@ def coin_c1(phi: float) -> Coin:
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     phi = phi % math.pi
-    p1, p2, p3 = _grover_projectors()
+    p1, p2, p3 = _GROVER_PROJECTORS
     m = -np.exp(2j * phi) * p1 - p2 + p3
     return Coin(m, CoinFamily.C1, phi)
 
@@ -355,22 +337,6 @@ def coin_c2(rho: float) -> Coin:
     v3 = np.array([s / math.sqrt(2.0), rho, s / math.sqrt(2.0)])
     m = -np.outer(v1, v1) - np.outer(v2, v2) + np.outer(v3, v3)
     return Coin(m, CoinFamily.C2, float(rho))
-
-
-def coin_from_spectral(eigensystem: EigenSystem,
-                       phases: Sequence[float]) -> Coin:
-    """Build the unitary sum_j exp(i theta_j) P_j over a given eigenbasis.
-
-    Returns a CUSTOM coin; unitarity follows from the orthonormality of the
-    basis, which :class:`EigenSystem` enforces on construction.
-    """
-    theta = np.asarray(phases, dtype=float)
-    if theta.shape != (3,):
-        raise ValueError("need exactly three phases")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("phases must be finite")
-    m = (np.exp(1j * theta)[:, None, None] * eigensystem.projectors).sum(axis=0)
-    return Coin(m, CoinFamily.CUSTOM)
 
 
 # Constructor of each named family; c1 and c2 take the stored parameter.

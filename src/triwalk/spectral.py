@@ -518,8 +518,11 @@ def peak_velocities_numeric(coin: Coin,
     ``_flat_bound`` certifies flat, skips that pass; the pass would find it
     flat too (see ``_peak_velocities``, which also states the half-zone
     rule and its error budget).  The velocities are good to rounding; k0
-    only to about 1e-7 rad, although it is printed with 17 digits, because
-    the slope is flat to second order at its maximum (see ``_zoom``).
+    is not, although it is printed with 17 digits, because the slope is
+    flat to second order at its maximum (see ``_zoom``).  Against c1's
+    closed form it errs by 1.7e-9 to 7.5e-8 rad for phi in [0.1, 1.5], and
+    by up to 4.5e-7 rad between 1.5 and pi/2 (4.2e-7 at pi/2 - 1e-5),
+    where the maximum flattens as the velocity goes to zero.
     """
     return PeakVelocityResult(*_peak_velocities(coin.matrix[None], n_samples)[0])
 

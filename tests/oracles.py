@@ -11,6 +11,23 @@ import math
 import numpy as np
 
 
+# The Grover coin's orthonormal eigenbasis, one vector per column, for the
+# eigenvalues (-1, -1, 1): (1, -2, 1)/sqrt 6, (1, 0, -1)/sqrt 2, (1, 1, 1)/sqrt 3.
+GROVER_BASIS = np.column_stack([np.array([1.0, -2.0, 1.0]) / math.sqrt(6.0),
+                                np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0),
+                                np.full(3, 1.0 / math.sqrt(3.0))])
+
+
+def spectral_coin(vectors, phases) -> np.ndarray:
+    """sum_j exp(i theta_j) v_j v_j^dag over the columns v_j of ``vectors``.
+
+    theta_j is ``phases[j]``; the sum is unitary when the columns are
+    orthonormal.
+    """
+    v = np.asarray(vectors, dtype=complex)
+    return (v * np.exp(1j * np.asarray(phases, dtype=float))) @ v.conj().T
+
+
 def haar_unitary(seed: int) -> np.ndarray:
     """A Haar-random 3x3 unitary, seeded."""
     rng = np.random.default_rng(seed)
@@ -92,6 +109,56 @@ def flat_eigenvalue(coin_matrix: np.ndarray) -> complex | None:
            flat_cubic_residual(c, lam)) < 1e-9:
         return lam
     return None
+
+
+# |1 - |alpha| - r| at or below which ``flat_peak_velocity`` takes the two
+# dispersive bands to touch: about 45 rounding units of 1.
+TOUCHING_TOL = 1e-14
+
+
+def flat_band_law(coin_matrix: np.ndarray) -> tuple[float, float]:
+    """(alpha, r) of the two bands beside a coin's one flat band.
+
+    With lambda_f = ``flat_eigenvalue``, d = det C and theta = arg(d /
+    lambda_f), the other two eigenvalues of U(k) multiply to d / lambda_f
+    and add up to a(k) - lambda_f, so they are exp(i (theta/2 +- chi(k)))
+    with cos chi = alpha + r cos(k + arg g), where h = exp(-i theta / 2),
+    g = h C22, alpha = Re(h (C11 - lambda_f)) / 2 and r = |C22|; unitarity
+    makes h C00 = conj(g) and h (C11 - lambda_f) real.  The bands touch
+    where |alpha| + r = 1.  Raises ValueError if there is no flat band.
+    """
+    c = np.asarray(coin_matrix, dtype=complex)
+    lam = flat_eigenvalue(c)
+    if lam is None:
+        raise ValueError("coin has no flat band")
+    h = np.exp(-0.5j * np.angle(np.linalg.det(c) / lam))
+    return float((h * (c[1, 1] - lam)).real / 2.0), float(abs(c[2, 2]))
+
+
+def flat_peak_velocity(coin_matrix: np.ndarray) -> float:
+    """Peak speed of the walk of a coin with one flat band, in closed form.
+
+    By ``flat_band_law`` the two other bands have slope
+    +-r sin(k + arg g) / sin chi.  Its extremes lie where u = cos(k + arg g)
+    solves alpha r u^2 + (alpha^2 + r^2 - 1) u + alpha r = 0, and there
+    v^2 = r^2 (1 + alpha^2 - r^2 + D) / (1 - alpha^2 - r^2 + D) with
+    D = sqrt((1 - (alpha + r)^2) (1 - (alpha - r)^2)).  Where the bands
+    touch, D = 0 and v = sqrt(r): Grover gives 1/sqrt(3), c2(rho) gives rho.
+
+    Tolerance.  With eps = 1 - |alpha| - r, D is the square root of a
+    factor of size eps, which alpha and r carry only to rounding.  So
+    ``|eps| <= TOUCHING_TOL`` takes the touching branch v = sqrt(r): exact
+    to rounding (measured 4.1e-15) where the bands touch, and within
+    about sqrt(eps) <= 1e-7 where they are that close without touching.
+    Elsewhere v errs by at most about 2e-15 + 2e-16 / sqrt(eps): rounding
+    away from a touching, 1e-12 at c1(1e-4).
+    """
+    alpha, r = flat_band_law(coin_matrix)
+    if abs(1.0 - abs(alpha) - r) <= TOUCHING_TOL:
+        return math.sqrt(r)
+    d = math.sqrt((1.0 - (alpha + r) ** 2) * (1.0 - (alpha - r) ** 2))
+    return r * math.sqrt((1.0 + alpha * alpha - r * r + d)
+                         / (1.0 - alpha * alpha - r * r + d))
 
 
 def dispersion_analytic(family: str, parameter: float | None, k):

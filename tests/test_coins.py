@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import GROVER_BASIS, spectral_coin
 from triwalk.coins import (
+    _GROVER_PROJECTORS,
     Coin,
     CoinFamily,
     EigenSystem,
     InvariantViolation,
     coin_c1,
     coin_c2,
-    coin_from_spectral,
     eigensystem_of,
     fourier_coin,
     grover_coin,
-    grover_eigensystem,
     permutation_coin,
     reflecting_coin,
     transmitting_coin,
@@ -100,24 +100,38 @@ class TestGroverCoin:
 
 
 class TestGroverEigensystem:
+    # The Grover projectors that coin_c1 is built from, in closed form.
+    def test_read_only(self):
+        assert _GROVER_PROJECTORS.shape == (3, 3, 3)
+        assert _GROVER_PROJECTORS.dtype == np.complex128
+        assert not _GROVER_PROJECTORS.flags.writeable
+        with pytest.raises(ValueError):
+            _GROVER_PROJECTORS[0, 0, 0] = 0.0
+
+    def test_hermitian_idempotent_orthogonal(self):
+        for i, p in enumerate(_GROVER_PROJECTORS):
+            assert np.max(np.abs(p - p.conj().T)) == 0.0
+            for j, q in enumerate(_GROVER_PROJECTORS):
+                expected = p if i == j else np.zeros((3, 3))
+                assert np.max(np.abs(p @ q - expected)) < 1e-15
+
     def test_eigenvalues(self):
-        es = grover_eigensystem()
-        assert_allclose(es.eigenvalues, [-1, -1, 1], atol=1e-15)
+        # P_j projects onto the eigenspace of (-1, -1, 1)[j].
+        g = grover_coin().matrix
+        for lam, p in zip((-1.0, -1.0, 1.0), _GROVER_PROJECTORS):
+            assert np.max(np.abs(g @ p - lam * p)) < 1e-15
 
     def test_v3_is_fixed_point(self):
-        es = grover_eigensystem()
-        v3 = es.eigenvectors[:, 2]
-        assert_allclose(v3, np.full(3, 1 / math.sqrt(3)), atol=1e-15)
-        assert_allclose(grover_coin().matrix @ v3, v3, atol=1e-15)
+        # P3 = v3 v3^dag with v3 = (1, 1, 1)/sqrt 3.
+        assert np.max(np.abs(_GROVER_PROJECTORS[2] - 1.0 / 3.0)) < 1e-15
 
     def test_spectral_identity(self):
-        es = grover_eigensystem()
-        p1, p2, p3 = es.projectors
-        assert_allclose(-p1 - p2 + p3, grover_coin().matrix, atol=1e-12)
+        p1, p2, p3 = _GROVER_PROJECTORS
+        assert np.max(np.abs(-p1 - p2 + p3 - grover_coin().matrix)) < 1e-15
 
     def test_projector_completeness(self):
-        es = grover_eigensystem()
-        assert_allclose(es.projectors.sum(axis=0), np.eye(3), atol=1e-12)
+        total = _GROVER_PROJECTORS.sum(axis=0)
+        assert np.max(np.abs(total - np.eye(3))) < 1e-15
 
 
 class TestCoinC1:
@@ -177,20 +191,17 @@ class TestCoinC2:
 
 
 class TestCoinFromSpectral:
+    # Coins from spectral data: the named coins against the oracle's
+    # sum_j exp(i theta_j) v_j v_j^dag over the Grover basis, and the
+    # EigenSystem record's checks.
     def test_grover_phases(self):
-        coin = coin_from_spectral(grover_eigensystem(), (math.pi, math.pi, 0.0))
+        coin = Coin(spectral_coin(GROVER_BASIS, (math.pi, math.pi, 0.0)))
         assert_allclose(coin.matrix, grover_coin().matrix, atol=1e-12)
-        assert coin.family is CoinFamily.CUSTOM
 
     @pytest.mark.parametrize("phi", [0.3, 1.0, 1.4])
     def test_c1_structure(self, phi):
-        coin = coin_from_spectral(grover_eigensystem(),
-                                  (math.pi + 2 * phi, math.pi, 0.0))
-        assert_allclose(coin.matrix, coin_c1(phi).matrix, atol=1e-12)
-
-    def test_zero_phases_give_identity(self):
-        coin = coin_from_spectral(grover_eigensystem(), (0.0, 0.0, 0.0))
-        assert_allclose(coin.matrix, np.eye(3), atol=1e-12)
+        expected = spectral_coin(GROVER_BASIS, (math.pi + 2 * phi, math.pi, 0.0))
+        assert_allclose(coin_c1(phi).matrix, expected, atol=1e-12)
 
     @pytest.mark.parametrize("lam, vecs, error", [
         ([1, 1, 1], np.eye(3)[:, [0, 0, 2]], InvariantViolation),
@@ -201,10 +212,6 @@ class TestCoinFromSpectral:
     def test_invalid_eigensystem_rejected(self, lam, vecs, error):
         with pytest.raises(error):
             EigenSystem(np.array(lam, dtype=complex), vecs)
-
-    def test_non_finite_phases_rejected(self):
-        with pytest.raises(ValueError):
-            coin_from_spectral(grover_eigensystem(), (0.0, math.nan, 0.0))
 
 
 class TestEigensystemOf:
@@ -234,7 +241,7 @@ class TestEigensystemOf:
     @pytest.mark.parametrize("coin", all_family_coins())
     def test_reconstruction(self, coin):
         es = eigensystem_of(coin)
-        rebuilt = coin_from_spectral(es, np.angle(es.eigenvalues)).matrix
+        rebuilt = spectral_coin(es.eigenvectors, np.angle(es.eigenvalues))
         assert np.max(np.abs(rebuilt - coin.matrix)) < 1e-10
         gram = es.eigenvectors.conj().T @ es.eigenvectors
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
@@ -250,10 +257,10 @@ class TestEigensystemOf:
     def test_reconstruction_of_custom_degenerate(self):
         # Degenerate eigenvalues through the numeric path: a degenerate pair,
         # a triple, and a pair split by an eigenphase gap of 1e-9.
-        near = coin_from_spectral(grover_eigensystem(), (0.3, 0.3 + 1e-9, 2.0))
-        for matrix in (grover_coin().matrix, np.eye(3), near.matrix):
+        near = spectral_coin(GROVER_BASIS, (0.3, 0.3 + 1e-9, 2.0))
+        for matrix in (grover_coin().matrix, np.eye(3), near):
             es = eigensystem_of(Coin(matrix))
-            rebuilt = coin_from_spectral(es, np.angle(es.eigenvalues)).matrix
+            rebuilt = spectral_coin(es.eigenvectors, np.angle(es.eigenvalues))
             assert np.max(np.abs(rebuilt - matrix)) < 1e-10
             gram = es.eigenvectors.conj().T @ es.eigenvectors
             assert np.max(np.abs(gram - np.eye(3))) < 1e-12
@@ -261,8 +268,8 @@ class TestEigensystemOf:
     def test_spectral_round_trip(self):
         for coin in (grover_coin(), coin_c1(0.8), coin_c2(0.6), fourier_coin()):
             es = eigensystem_of(coin)
-            rebuilt = coin_from_spectral(es, np.angle(es.eigenvalues))
-            assert np.max(np.abs(rebuilt.matrix - coin.matrix)) < 1e-10
+            rebuilt = spectral_coin(es.eigenvectors, np.angle(es.eigenvalues))
+            assert np.max(np.abs(rebuilt - coin.matrix)) < 1e-10
 
 
 class TestCoinInvariants:

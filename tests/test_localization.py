@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import triwalk.localization as localization
-from oracles import (dispersion_analytic, flat_band_trapped_probability,
-                     flat_cubic_residual, flat_eigenvalue, haar_unitary,
-                     random_state, trapped_profile)
+from oracles import (GROVER_BASIS, TOUCHING_TOL, dispersion_analytic,
+                     flat_band_law, flat_band_trapped_probability,
+                     flat_cubic_residual, flat_eigenvalue, flat_peak_velocity,
+                     haar_unitary, random_state, spectral_coin,
+                     trapped_profile)
 from triwalk.cli import build_parser, main, parse_state
 from triwalk.coins import (
     Coin,
     coin_c1,
     coin_c2,
-    coin_from_spectral,
     fourier_coin,
     grover_coin,
-    grover_eigensystem,
     permutation_coin,
     transmitting_coin,
 )
@@ -33,7 +33,8 @@ from triwalk.localization import (
 )
 from test_spectral import eigenvector_peak_search
 from triwalk.spectral import (FLAT_BAND_TOL, dispersion_numeric,
-                              peak_velocities_numeric)
+                              peak_velocities_numeric, peak_velocity_c1,
+                              peak_velocity_c2)
 from triwalk.walk import _walk, initial_state
 
 PSI_SYM = np.array([1, -1, 1]) / math.sqrt(3)
@@ -59,14 +60,14 @@ CORNER_COINS = {
     **{f"c1({phi})": coin_c1(phi) for phi in (0.3, 0.7, 1.2, 2.0)},
     **{f"c2({rho})": coin_c2(rho) for rho in (0.2, 0.6, 0.9, 1 - 1e-9, 1.0)},
     "fourier": fourier_coin(),
-    **{f"grover-basis{seed}": coin_from_spectral(
-        grover_eigensystem(),
-        np.random.default_rng(seed).uniform(-math.pi, math.pi, 3))
+    **{f"grover-basis{seed}": Coin(spectral_coin(
+        GROVER_BASIS,
+        np.random.default_rng(seed).uniform(-math.pi, math.pi, 3)))
        for seed in range(4)},
     # A phase gap of pi between the last two eigenvectors keeps c1's flat
     # band, here at lambda = exp(i theta3) instead of 1.
-    **{f"grover-basis-flat({theta3})": coin_from_spectral(
-        grover_eigensystem(), (theta1, theta3 + math.pi, theta3))
+    **{f"grover-basis-flat({theta3})": Coin(spectral_coin(
+        GROVER_BASIS, (theta1, theta3 + math.pi, theta3)))
        for theta1, theta3 in ((0.9, 0.4), (-2.1, 2.5))},
     **{f"haar{seed}": Coin(haar_unitary(seed)) for seed in range(6)},
 }
@@ -502,6 +503,81 @@ class TestBeyondTheFamilies:
     def test_conjugate_is_not_a_mirror_image(self):
         m = phase_conjugate(0.4, 0.7, (0.1, 0.5, -1.0)).matrix
         assert not np.array_equal(m, m[::-1, ::-1])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.4),
+           st.floats(min_value=0.2, max_value=0.95),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_composed_coin_keeps_c2_trapped_profile(self, phi, rho, seed):
+        # c1's phase moves only the -1 eigenvalue, so the flat band at 1
+        # traps what c2(rho)'s traps, site by site (measured 8.3e-17).
+        sites = np.arange(-4, 5)
+        for psi in (PSI_SYM, random_state(seed)):
+            got = trapped_profile(composed_coin(phi, rho).matrix, psi, sites,
+                                  4096)
+            expected = trapped_profile(coin_c2(rho).matrix, psi, sites, 4096)
+            assert np.max(np.abs(got - expected)) < 1e-15
+
+
+def flat_velocity_bound(matrix: np.ndarray) -> float:
+    """The error ``flat_peak_velocity`` states for a coin, with room: 1e-7
+    on its touching branch, else 4e-15 + 4e-16 / sqrt(eps), eps = 1 -
+    |alpha| - r.  Measured on c1 and composed coins: 6.3e-8 on the
+    touching branch, 1.75e-15 well away from a touching and 1.8e-16 /
+    sqrt(eps) near one."""
+    alpha, r = flat_band_law(matrix)
+    eps = 1.0 - abs(alpha) - r
+    return 1e-7 if abs(eps) <= TOUCHING_TOL else 4e-15 + 4e-16 / math.sqrt(eps)
+
+
+class TestFlatPeakVelocity:
+    # tests/oracles.py::flat_peak_velocity, the closed form of the peak
+    # velocity of every coin with one flat band, against the paper's two
+    # closed forms and against the numeric peak search.
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.4))
+    def test_c1(self, phi):
+        matrix = coin_c1(phi).matrix
+        assert abs(flat_peak_velocity(matrix) - peak_velocity_c1(phi)) <= \
+            flat_velocity_bound(matrix)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=0.02, max_value=0.999))
+    def test_c2(self, rho):
+        # c2's bands touch for every rho: the touching branch, to rounding
+        # (measured 3.8e-15).
+        v = flat_peak_velocity(coin_c2(rho).matrix)
+        assert abs(v - peak_velocity_c2(rho)) <= 6e-15
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=0.02, max_value=0.999), ANGLES,
+           st.tuples(ANGLES, ANGLES, ANGLES))
+    def test_phase_conjugate(self, rho, theta, phases):
+        # The bands of c2(rho), shifted by theta (measured 4.1e-15).
+        v = flat_peak_velocity(phase_conjugate(rho, theta, phases).matrix)
+        assert abs(v - rho) <= 6e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(PHIS, st.floats(min_value=0.02, max_value=0.999))
+    def test_composed_coin(self, phi, rho):
+        coin = composed_coin(phi, rho)
+        v, res = flat_peak_velocity(coin.matrix), peak_velocities_numeric(coin)
+        bound = flat_velocity_bound(coin.matrix)
+        assert abs(v - res.v_right) <= bound
+        assert abs(v + res.v_left) <= bound
+
+    @pytest.mark.parametrize("coin", [grover_coin(), coin_c1(0.7),
+                                      coin_c2(0.4), composed_coin(0.6, 0.4)],
+                             ids=["grover", "c1:0.7", "c2:0.4", "composed"])
+    def test_agrees_with_numeric_search(self, coin):
+        # Measured at most 1.1e-15, on v_left of the composed coin.
+        v = flat_peak_velocity(coin.matrix)
+        res = peak_velocities_numeric(coin)
+        assert max(abs(v - res.v_right), abs(v + res.v_left)) <= 2e-15
+
+    def test_no_flat_band_refused(self):
+        with pytest.raises(ValueError, match="no flat band"):
+            flat_peak_velocity(haar_unitary(0))
 
 
 class TestLocalizationReport:

@@ -1,6 +1,7 @@
 
 import ast
 import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,7 @@ import pytest
 
 import triwalk
 from triwalk import coins, localization, spectral, walk
-from triwalk.coins import (Coin, CoinFamily, EigenSystem, grover_coin,
-                           grover_eigensystem)
+from triwalk.coins import Coin, CoinFamily, EigenSystem, grover_coin
 from triwalk.localization import LocalizationReport
 from triwalk.spectral import DispersionTable, PeakVelocityResult
 from triwalk.walk import ProbabilityDistribution, WalkState
@@ -39,8 +39,11 @@ def _coin():
 
 
 def _eigensystem():
-    es = grover_eigensystem()
-    lam, vec = es.eigenvalues.copy(), es.eigenvectors.copy()
+    # The Grover coin's eigenbasis, one vector per column.
+    lam = np.array([-1.0, -1.0, 1.0], dtype=complex)
+    vec = np.column_stack([np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0),
+                           np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0),
+                           np.full(3, 1.0 / np.sqrt(3.0))]).astype(complex)
     return EigenSystem(lam, vec), {"eigenvalues": lam, "eigenvectors": vec}
 
 
@@ -229,3 +232,23 @@ def test_size_tool_counts_this_checkout():
     assert [int(x) for x in total.split()[1:]] == [sum(c) for c in zip(*counts)]
     assert all(0 < code < lines for lines, code in counts)
     assert names == f"public names: {len(triwalk.__all__)}"
+
+
+def test_ab_tool_runs_this_checkout_against_itself(tmp_path):
+    # tools/ab.py: for each tree its wall, CPU and peak lines, then the
+    # pairs in which the second tree was faster and used less CPU.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(triwalk.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, str(root / "tools" / "ab.py"), "--src", src,
+         "--src", src, "--pairs", "2", "--", "velocity", "--grid", "16",
+         "--out", str(tmp_path / "vel.json")],
+        check=True, text=True, capture_output=True).stdout.splitlines()
+    assert out[0] == f"command: velocity --grid 16 --out {tmp_path / 'vel.json'}"
+    for tree in out[1:5], out[5:9]:
+        assert tree[1].startswith("  wall s: median ")
+        assert re.fullmatch(r"  CPU s: median \d+\.\d{4}", tree[2])
+        assert tree[3].startswith("  own peak RSS MB: median ")
+    assert re.fullmatch(r"B faster in [0-2] of 2 pairs", out[9])
+    assert re.fullmatch(r"B used less CPU in [0-2] of 2 pairs", out[10])
+    assert len(out) == 11

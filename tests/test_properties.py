@@ -15,11 +15,9 @@ from triwalk.coins import (
     _unitary_eig,
     coin_c1,
     coin_c2,
-    coin_from_spectral,
     eigensystem_of,
     fourier_coin,
     grover_coin,
-    grover_eigensystem,
     permutation_coin,
     reflecting_coin,
     transmitting_coin,
@@ -31,8 +29,9 @@ from triwalk.spectral import (FLAT_BAND_TOL, _band_slopes, _cubic_roots,
                               _propagator_batch, peak_velocities_numeric)
 from triwalk.walk import evolve, initial_state, probability_distribution
 
-from oracles import (flat_band_defect, haar_unitary, hf_velocity_range,
-                     random_real_state, random_state, real_orthogonal)
+from oracles import (GROVER_BASIS, flat_band_defect, haar_unitary,
+                     hf_velocity_range, random_real_state, random_state,
+                     real_orthogonal, spectral_coin)
 from test_spectral import assert_tracks_like_loop
 from test_walk import (allocating_evolve, allocating_origin_series,
                        assert_same_bits)
@@ -236,7 +235,7 @@ def test_eigensystem_reconstructs_custom_coins(seed):
     assert np.max(np.abs(np.abs(es.eigenvalues) - 1.0)) < 1e-12
     gram = es.eigenvectors.conj().T @ es.eigenvectors
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-    rebuilt = coin_from_spectral(es, np.angle(es.eigenvalues)).matrix
+    rebuilt = spectral_coin(es.eigenvectors, np.angle(es.eigenvalues))
     assert np.max(np.abs(rebuilt - coin.matrix)) < 1e-10
 
 
@@ -290,7 +289,7 @@ def test_real_walk_matches_complex_allocating_steps(coin_seed, det,
        st.floats(min_value=-math.pi, max_value=math.pi))
 @example(1.0, -1.0, 0.0)
 def test_spectral_construction_is_unitary(t1, t2, t3):
-    coin = coin_from_spectral(grover_eigensystem(), (t1, t2, t3))
+    coin = Coin(spectral_coin(GROVER_BASIS, (t1, t2, t3)))
     dev = np.max(np.abs(coin.matrix @ coin.matrix.conj().T - np.eye(3)))
     assert dev < 1e-12
     es = eigensystem_of(coin)

@@ -4,15 +4,18 @@ Runs ``python -m triwalk.cli ARGS`` as child processes of each ``--src``
 tree in turn, pair after pair, the tree that goes first alternating from
 pair to pair, with ``PYTHONDONTWRITEBYTECODE=1`` so every start compiles
 the package alike.  For each tree it prints the median, quartiles and
-minimum wall time, the median of each child's own peak RSS, and the
-length of the tree's path (the heap layout of a child, and so its peak,
-can move with that length; compare trees whose paths are equally long).
-Then it prints how many pairs the second tree won.
+minimum wall time, the median CPU time of each child (user plus system),
+the median of each child's own peak RSS, and the length of the tree's
+path (the heap layout of a child, and so its peak, can move with that
+length; compare trees whose paths are equally long).  Then it prints in
+how many pairs the second tree was faster, and in how many it used less
+CPU.
 
     python tools/ab.py --src PARENT/src --src CHANGE/src --pairs 30 -- \\
         sweep --family c1 --points 50 --out /tmp/ab.csv
 
-The peak RSS is ``ru_maxrss`` from ``os.wait4``.  A child's count starts
+The CPU time is ``ru_utime + ru_stime`` and the peak RSS ``ru_maxrss``,
+both from the ``os.wait4`` that reaps the child.  A child's count starts
 at the size of the process that spawned it, so this tool imports only the
 standard library: it stays smaller than any child, and the number read is
 the child's own peak.  One untimed start of each tree comes first, and a
@@ -30,8 +33,9 @@ import time
 from pathlib import Path
 
 
-def run(src: str, args: list[str]) -> tuple[float, float]:
-    """One child of tree ``src``: its wall seconds and its own peak RSS (MB)."""
+def run(src: str, args: list[str]) -> tuple[float, float, float]:
+    """One child of tree ``src``: its wall seconds, its CPU seconds and its
+    own peak RSS (MB)."""
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryFile() as err:
         actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
@@ -47,7 +51,7 @@ def run(src: str, args: list[str]) -> tuple[float, float]:
             err.seek(0)
             sys.exit(f"{src}: exit {code}\n"
                      + err.read().decode("utf-8", "replace"))
-    return wall, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -65,11 +69,12 @@ def main(argv: list[str] | None = None) -> None:
     trees = [str(Path(s).resolve()) for s in opts.src]
     for src in trees:
         run(src, args)
-    walls, peaks = ([], []), ([], [])
+    walls, cpus, peaks = ([], []), ([], []), ([], [])
     for pair in range(opts.pairs):
         for t in (0, 1) if pair % 2 == 0 else (1, 0):
-            wall, peak = run(trees[t], args)
+            wall, cpu, peak = run(trees[t], args)
             walls[t].append(wall)
+            cpus[t].append(cpu)
             peaks[t].append(peak)
     print("command: " + " ".join(args))
     for t, src in enumerate(trees):
@@ -77,9 +82,12 @@ def main(argv: list[str] | None = None) -> None:
         print(f"tree {'AB'[t]}: {src} (path length {len(src)})")
         print(f"  wall s: median {statistics.median(walls[t]):.4f}, quartiles "
               f"{q1:.4f}-{q3:.4f}, min {min(walls[t]):.4f}")
+        print(f"  CPU s: median {statistics.median(cpus[t]):.4f}")
         print(f"  own peak RSS MB: median {statistics.median(peaks[t]):.2f}")
     won = sum(b < a for a, b in zip(*walls))
     print(f"B faster in {won} of {opts.pairs} pairs")
+    won = sum(b < a for a, b in zip(*cpus))
+    print(f"B used less CPU in {won} of {opts.pairs} pairs")
 
 
 if __name__ == "__main__":
