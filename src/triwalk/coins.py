@@ -16,7 +16,8 @@ flat-band structure:
 
 Every constructor returns an immutable, unitarity-checked :class:`Coin`.
 eigensystem_of() decomposes any coin, named or custom, by the same numeric
-method, with the eigenvalues in eigenphase order.  The package's records
+method into its eigenvalues, in eigenphase order, and an orthonormal
+eigenbasis, returned as two plain arrays.  The package's records
 render their CSV and JSON text with the private helpers here; they return
 text and open no file.
 """
@@ -37,7 +38,6 @@ __all__ = [
     "InvariantViolation",
     "CoinFamily",
     "Coin",
-    "EigenSystem",
     "grover_coin",
     "permutation_coin",
     "reflecting_coin",
@@ -236,27 +236,6 @@ def _encode(obj):
 _to_json = functools.partial(json.dumps, default=_encode, allow_nan=False)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Orthonormal eigendecomposition of a 3x3 unitary.
-
-    ``eigenvectors[:, j]`` is the unit eigenvector belonging to
-    ``eigenvalues[j]``; eigenvalues lie on the unit circle.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = _freeze(self, "eigenvalues", np.complex128, (3,))
-        vec = _freeze(self, "eigenvectors", np.complex128, (3, 3))
-        if np.max(np.abs(np.abs(lam) - 1.0)) > UNITARITY_TOL:
-            raise InvariantViolation("eigenvalues are not on the unit circle")
-        gram = vec.conj().T @ vec
-        if np.max(np.abs(gram - np.eye(3))) > UNITARITY_TOL:
-            raise InvariantViolation("eigenvectors are not orthonormal")
-
-
 def grover_coin() -> Coin:
     """The 3x3 Grover coin: diagonal entries -1/3, off-diagonal 2/3."""
     m = (2.0 * np.ones((3, 3)) - 3.0 * np.eye(3)) / 3.0
@@ -365,16 +344,19 @@ def _unitary_eig(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam / np.abs(lam), q
 
 
-def eigensystem_of(coin: Coin) -> EigenSystem:
-    """Eigendecomposition of a coin, in ascending eigenphase order.
+def eigensystem_of(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of a coin, in ascending eigenphase order.
 
-    One numeric method serves every coin, named or custom: the batched
-    eig + QR of :func:`_unitary_eig`, sorted by ``np.angle`` with a stable
-    argsort.  An eigenvalue at -1 may come first or last, by the sign of
-    its rounded imaginary part.  On the named families, degenerate points
-    included, it agrees with their closed forms to about 1e-15
+    ``eigenvectors[:, j]`` is the unit eigenvector belonging to
+    ``eigenvalues[j]``; both are fresh arrays, as ``np.linalg.eig`` returns
+    them.  One numeric method serves every coin, named or custom: the
+    batched eig + QR of :func:`_unitary_eig`, whose eigenvalues lie on the
+    unit circle and whose basis is orthonormal, sorted by ``np.angle`` with
+    a stable argsort.  An eigenvalue at -1 may come first or last, by the
+    sign of its rounded imaginary part.  On the named families, degenerate
+    points included, it agrees with their closed forms to about 1e-15
     (reconstruction, Gram matrix and eigenvalues).
     """
     lam, vec = _unitary_eig(coin.matrix)
     order = np.argsort(np.angle(lam), kind="stable")
-    return EigenSystem(lam[order], vec[:, order])
+    return lam[order], vec[:, order]

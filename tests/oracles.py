@@ -161,6 +161,43 @@ def flat_peak_velocity(coin_matrix: np.ndarray) -> float:
                          / (1.0 - alpha * alpha - r * r + d))
 
 
+def flat_peak_wavenumbers(coin_matrix: np.ndarray) -> tuple[float, float]:
+    """The two candidates for k0 of a coin with one flat band, in [0, pi].
+
+    With ``flat_band_law``'s h and g = h C22, the slope of the two other
+    bands peaks where u = cos(k + psi), psi = arg g, is the root with
+    |u| <= 1 of alpha r u^2 + (alpha^2 + r^2 - 1) u + alpha r = 0; the two
+    roots multiply to 1, and the small one is 2 alpha r / (1 - alpha^2 -
+    r^2 + D) with ``flat_peak_velocity``'s D.  Where the bands touch the
+    root is double, u = sign(alpha), taken on the same branch as v.  The
+    candidates are +-arccos(u) - psi, each folded as the library folds k0:
+    k mod 2 pi, then min(k, 2 pi - k).  Against c1's stationary point in
+    closed form they agree within 6.5e-15 for phi in [0.1, pi/2 - 1e-6].
+    c2(1) (alpha = 0, r = 1: every slope is +-1) and the all-flat coins
+    have no k0.  Raises ValueError if there is no flat band.
+
+    Tolerance.  Next to a touching, with eps = 1 - |alpha| - r small, k0
+    moves like eps^(1/4), so the rounding that eps carries moves the
+    candidates by up to about 1e-16 k0 / eps: against c1's stationary point
+    in 50 digits, 4.6e-8 at c1(1e-6) and 2.4e-10 at c1(1e-4).  Within
+    ``TOUCHING_TOL`` of a touching they are the touching point itself,
+    6.5e-4 from the k0 of c1(1e-7).
+    """
+    c = np.asarray(coin_matrix, dtype=complex)
+    alpha, r = flat_band_law(c)
+    lam = flat_eigenvalue(c)
+    h = np.exp(-0.5j * np.angle(np.linalg.det(c) / lam))
+    psi = float(np.angle(h * c[2, 2]))
+    if abs(1.0 - abs(alpha) - r) <= TOUCHING_TOL:
+        u = math.copysign(1.0, alpha)
+    else:
+        d = math.sqrt((1.0 - (alpha + r) ** 2) * (1.0 - (alpha - r) ** 2))
+        u = 2.0 * alpha * r / (1.0 - alpha * alpha - r * r + d)
+    folded = [(s * math.acos(u) - psi) % (2.0 * math.pi)
+              for s in (1.0, -1.0)]
+    return tuple(min(k, 2.0 * math.pi - k) for k in folded)
+
+
 def dispersion_analytic(family: str, parameter: float | None, k):
     """Closed-form dispersion (omega1, omega2, omega3) of a named family.
 

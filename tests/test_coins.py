@@ -11,7 +11,6 @@ from triwalk.coins import (
     _GROVER_PROJECTORS,
     Coin,
     CoinFamily,
-    EigenSystem,
     InvariantViolation,
     coin_c1,
     coin_c2,
@@ -192,8 +191,7 @@ class TestCoinC2:
 
 class TestCoinFromSpectral:
     # Coins from spectral data: the named coins against the oracle's
-    # sum_j exp(i theta_j) v_j v_j^dag over the Grover basis, and the
-    # EigenSystem record's checks.
+    # sum_j exp(i theta_j) v_j v_j^dag over the Grover basis.
     def test_grover_phases(self):
         coin = Coin(spectral_coin(GROVER_BASIS, (math.pi, math.pi, 0.0)))
         assert_allclose(coin.matrix, grover_coin().matrix, atol=1e-12)
@@ -203,31 +201,20 @@ class TestCoinFromSpectral:
         expected = spectral_coin(GROVER_BASIS, (math.pi + 2 * phi, math.pi, 0.0))
         assert_allclose(coin_c1(phi).matrix, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("lam, vecs, error", [
-        ([1, 1, 1], np.eye(3)[:, [0, 0, 2]], InvariantViolation),
-        ([1, 1.5, 1], np.eye(3), InvariantViolation),
-        ([1, 1], np.eye(3), ValueError),
-        ([1, 1, 1], np.eye(3)[:, :2], ValueError),
-    ], ids=["non-orthonormal", "off-circle", "two-eigenvalues", "3x2-basis"])
-    def test_invalid_eigensystem_rejected(self, lam, vecs, error):
-        with pytest.raises(error):
-            EigenSystem(np.array(lam, dtype=complex), vecs)
-
 
 class TestEigensystemOf:
     def test_grover_eigenvalues(self):
-        es = eigensystem_of(grover_coin())
-        assert_allclose(sorted(es.eigenvalues.real), [-1, -1, 1], atol=1e-12)
+        lam, _ = eigensystem_of(grover_coin())
+        assert_allclose(sorted(lam.real), [-1, -1, 1], atol=1e-12)
 
     def test_identity_coin(self):
-        es = eigensystem_of(Coin(np.eye(3)))
-        assert_allclose(es.eigenvalues, [1, 1, 1], atol=1e-12)
+        lam, _ = eigensystem_of(Coin(np.eye(3)))
+        assert_allclose(lam, [1, 1, 1], atol=1e-12)
 
     def test_c2_spectrum_is_rho_independent(self):
         for rho in np.linspace(0.0, 1.0, 11):
-            es = eigensystem_of(coin_c2(rho))
-            assert_allclose(sorted(es.eigenvalues.real), [-1, -1, 1],
-                            atol=1e-10)
+            lam, _ = eigensystem_of(coin_c2(rho))
+            assert_allclose(sorted(lam.real), [-1, -1, 1], atol=1e-10)
 
     @pytest.mark.parametrize("coin", [fourier_coin(),
                                       Coin(grover_coin().matrix),
@@ -235,40 +222,39 @@ class TestEigensystemOf:
     def test_matches_numpy_eigenvalues(self, coin):
         # Independent reference: LAPACK general eigensolver on the same matrix.
         expected = np.sort_complex(np.linalg.eigvals(coin.matrix))
-        got = np.sort_complex(eigensystem_of(coin).eigenvalues)
+        got = np.sort_complex(eigensystem_of(coin)[0])
         assert_allclose(got, expected, atol=1e-10)
 
     @pytest.mark.parametrize("coin", all_family_coins())
     def test_reconstruction(self, coin):
-        es = eigensystem_of(coin)
-        rebuilt = spectral_coin(es.eigenvectors, np.angle(es.eigenvalues))
+        lam, vec = eigensystem_of(coin)
+        rebuilt = spectral_coin(vec, np.angle(lam))
         assert np.max(np.abs(rebuilt - coin.matrix)) < 1e-10
-        gram = es.eigenvectors.conj().T @ es.eigenvectors
+        gram = vec.conj().T @ vec
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-        assert spectrum_distance(es.eigenvalues,
-                                 closed_form_spectrum(coin)) < 1e-12
+        assert spectrum_distance(lam, closed_form_spectrum(coin)) < 1e-12
 
     @pytest.mark.parametrize("coin", all_family_coins())
     def test_family_label_does_not_change_the_method(self, coin):
         named, custom = eigensystem_of(coin), eigensystem_of(Coin(coin.matrix))
-        assert np.array_equal(named.eigenvalues, custom.eigenvalues)
-        assert np.array_equal(named.eigenvectors, custom.eigenvectors)
+        assert np.array_equal(named[0], custom[0])
+        assert np.array_equal(named[1], custom[1])
 
     def test_reconstruction_of_custom_degenerate(self):
         # Degenerate eigenvalues through the numeric path: a degenerate pair,
         # a triple, and a pair split by an eigenphase gap of 1e-9.
         near = spectral_coin(GROVER_BASIS, (0.3, 0.3 + 1e-9, 2.0))
         for matrix in (grover_coin().matrix, np.eye(3), near):
-            es = eigensystem_of(Coin(matrix))
-            rebuilt = spectral_coin(es.eigenvectors, np.angle(es.eigenvalues))
+            lam, vec = eigensystem_of(Coin(matrix))
+            rebuilt = spectral_coin(vec, np.angle(lam))
             assert np.max(np.abs(rebuilt - matrix)) < 1e-10
-            gram = es.eigenvectors.conj().T @ es.eigenvectors
+            gram = vec.conj().T @ vec
             assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
     def test_spectral_round_trip(self):
         for coin in (grover_coin(), coin_c1(0.8), coin_c2(0.6), fourier_coin()):
-            es = eigensystem_of(coin)
-            rebuilt = spectral_coin(es.eigenvectors, np.angle(es.eigenvalues))
+            lam, vec = eigensystem_of(coin)
+            rebuilt = spectral_coin(vec, np.angle(lam))
             assert np.max(np.abs(rebuilt - coin.matrix)) < 1e-10
 
 
@@ -308,8 +294,8 @@ class TestCoinInvariants:
 
     def test_eigenvalues_on_unit_circle(self):
         for coin in all_family_coins():
-            es = eigensystem_of(coin)
-            assert np.max(np.abs(np.abs(es.eigenvalues) - 1.0)) < 1e-12
+            lam, _ = eigensystem_of(coin)
+            assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-12
 
 
 class TestCoinSerialization:

@@ -12,8 +12,8 @@ import triwalk.localization as localization
 from oracles import (GROVER_BASIS, TOUCHING_TOL, dispersion_analytic,
                      flat_band_law, flat_band_trapped_probability,
                      flat_cubic_residual, flat_eigenvalue, flat_peak_velocity,
-                     haar_unitary, random_state, spectral_coin,
-                     trapped_profile)
+                     flat_peak_wavenumbers, haar_unitary, random_state,
+                     spectral_coin, trapped_profile)
 from triwalk.cli import build_parser, main, parse_state
 from triwalk.coins import (
     Coin,
@@ -31,7 +31,7 @@ from triwalk.localization import (
     origin_series,
     trapping_estimate,
 )
-from test_spectral import eigenvector_peak_search
+from test_spectral import c1_stationary_k, eigenvector_peak_search
 from triwalk.spectral import (FLAT_BAND_TOL, dispersion_numeric,
                               peak_velocities_numeric, peak_velocity_c1,
                               peak_velocity_c2)
@@ -578,6 +578,74 @@ class TestFlatPeakVelocity:
     def test_no_flat_band_refused(self):
         with pytest.raises(ValueError, match="no flat band"):
             flat_peak_velocity(haar_unitary(0))
+
+
+def k0_scale(matrix: np.ndarray) -> float:
+    """How far rounding in the slope moves the numeric k0: sqrt(eps /
+    kappa), with kappa = v (1 - v^2) the slope's curvature at its maximum
+    (measured exact to 6 digits in 40-digit arithmetic), a quarter of that
+    where the bands touch and the maximum is the touching point."""
+    alpha, r = flat_band_law(matrix)
+    v = flat_peak_velocity(matrix)
+    kappa = v * (1.0 - v * v)
+    if abs(1.0 - abs(alpha) - r) <= TOUCHING_TOL:
+        kappa /= 4.0
+    return math.sqrt(np.finfo(float).eps / kappa)
+
+
+class TestFlatPeakWavenumbers:
+    # tests/oracles.py::flat_peak_wavenumbers, k0 in closed form, against
+    # the numeric peak search.  The slope is flat to second order at its
+    # maximum, so the search's k0 errs by about k0_scale: measured at most
+    # 3.5 k0_scale over 4,500 coins of the families below, which is up to
+    # 1.4e-7 rad for c1 at phi in [0.1, 1.5], 2.9e-8 for Grover, 2.1e-6
+    # for composed coins and 2.7e-5 next to c1(pi/2), where v -> 0.
+    @staticmethod
+    def assert_k0(coin):
+        k0 = peak_velocities_numeric(coin).k0
+        err = min(abs(k0 - k) for k in flat_peak_wavenumbers(coin.matrix))
+        assert err <= 6.0 * k0_scale(coin.matrix)
+
+    # Below phi = 1e-5 the closed form, not the search, loses digits next
+    # to Grover's touching (see its docstring).
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=1e-5, max_value=1.5))
+    def test_c1(self, phi):
+        self.assert_k0(coin_c1(phi))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=1e-6, max_value=1e-3))
+    def test_c1_next_to_all_flat(self, gap):
+        self.assert_k0(coin_c1(math.pi / 2 - gap))
+
+    def test_grover(self):
+        assert flat_peak_wavenumbers(grover_coin().matrix) == (0.0, 0.0)
+        self.assert_k0(grover_coin())
+
+    # c2(1) is left out: alpha = 0 and r = 1, every slope is +-1 and k0 is
+    # arbitrary.
+    @pytest.mark.parametrize("rho", [0.05, 0.4, 0.9, 0.999])
+    def test_c2(self, rho):
+        self.assert_k0(coin_c2(rho))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=1.4),
+           st.floats(min_value=0.02, max_value=0.999))
+    def test_composed_coin(self, phi, rho):
+        self.assert_k0(composed_coin(phi, rho))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(min_value=0.02, max_value=0.999), ANGLES,
+           st.tuples(ANGLES, ANGLES, ANGLES))
+    def test_phase_conjugate(self, rho, theta, phases):
+        self.assert_k0(phase_conjugate(rho, theta, phases))
+
+    @pytest.mark.parametrize("phi", [*np.linspace(0.1, 1.5, 15),
+                                     math.pi / 2 - 1e-3, math.pi / 2 - 1e-6])
+    def test_c1_stationary_point(self, phi):
+        # The paper's family has its own closed form (measured 6.5e-15).
+        got = flat_peak_wavenumbers(coin_c1(phi).matrix)
+        assert min(abs(k - c1_stationary_k(phi)) for k in got) <= 2e-14
 
 
 class TestLocalizationReport:

@@ -1,6 +1,8 @@
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 import triwalk
 from triwalk import coins, localization, spectral, walk
-from triwalk.coins import Coin, CoinFamily, EigenSystem, grover_coin
+from triwalk.coins import Coin, CoinFamily, grover_coin
 from triwalk.localization import LocalizationReport
 from triwalk.spectral import DispersionTable, PeakVelocityResult
 from triwalk.walk import ProbabilityDistribution, WalkState
@@ -36,15 +38,6 @@ class TestPublicNames:
 def _coin():
     m = grover_coin().matrix.copy()
     return Coin(m), {"matrix": m}
-
-
-def _eigensystem():
-    # The Grover coin's eigenbasis, one vector per column.
-    lam = np.array([-1.0, -1.0, 1.0], dtype=complex)
-    vec = np.column_stack([np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0),
-                           np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0),
-                           np.full(3, 1.0 / np.sqrt(3.0))]).astype(complex)
-    return EigenSystem(lam, vec), {"eigenvalues": lam, "eigenvectors": vec}
 
 
 def _dispersion_table():
@@ -77,12 +70,10 @@ def _localization_report():
 
 # Each builder returns a record and the arrays it was built from, by field.
 RECORDS = pytest.mark.parametrize("build", [
-    _coin, _eigensystem, _dispersion_table,
-    _dispersion_table_with_eigenvectors, _walk_state, _distribution,
-    _localization_report,
-], ids=["Coin", "EigenSystem", "DispersionTable",
-        "DispersionTable-eigenvectors", "WalkState",
-        "ProbabilityDistribution", "LocalizationReport"])
+    _coin, _dispersion_table, _dispersion_table_with_eigenvectors,
+    _walk_state, _distribution, _localization_report,
+], ids=["Coin", "DispersionTable", "DispersionTable-eigenvectors",
+        "WalkState", "ProbabilityDistribution", "LocalizationReport"])
 
 
 @RECORDS
@@ -252,3 +243,47 @@ def test_ab_tool_runs_this_checkout_against_itself(tmp_path):
     assert re.fullmatch(r"B faster in [0-2] of 2 pairs", out[9])
     assert re.fullmatch(r"B used less CPU in [0-2] of 2 pairs", out[10])
     assert len(out) == 11
+
+
+def _bench_names(tree: ast.AST) -> tuple[set[tuple[str, str]], bool]:
+    """The ``(layer, name)`` pairs a source reads as ``modules["layer"].name``
+    or ``getattr(modules["layer"], "name", ...)``, and whether any call of
+    it passes ``include_eigenvectors``."""
+    def layer(node):
+        if (isinstance(node, ast.Subscript)
+                and getattr(node.value, "id", None) == "modules"
+                and isinstance(node.slice, ast.Constant)):
+            return node.slice.value
+        return None
+
+    names, eigenvectors = set(), False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and layer(node.value):
+            names.add((layer(node.value), node.attr))
+        elif isinstance(node, ast.Call):
+            args = node.args
+            if (getattr(node.func, "id", None) == "getattr" and len(args) >= 2
+                    and layer(args[0]) and isinstance(args[1], ast.Constant)):
+                names.add((layer(args[0]), args[1].value))
+            eigenvectors |= any(k.arg == "include_eigenvectors"
+                                for k in node.keywords)
+    return names, eigenvectors
+
+
+def test_bench_names_exist():
+    # bench/ reaches the package through modules["layer"], which no import
+    # check sees: each name it reads must still be there, and
+    # dispersion_numeric must take the keyword it passes.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    names, eigenvectors = set(), False
+    for path in sorted(bench.glob("*.py")):
+        found, passes = _bench_names(ast.parse(path.read_text()))
+        names |= found
+        eigenvectors |= passes
+    assert names
+    for layer, name in sorted(names):
+        module = importlib.import_module(f"triwalk.{layer}")
+        assert hasattr(module, name), f"bench reads triwalk.{layer}.{name}"
+    if eigenvectors:
+        params = inspect.signature(spectral.dispersion_numeric).parameters
+        assert "include_eigenvectors" in params

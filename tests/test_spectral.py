@@ -44,9 +44,12 @@ def best_set_match(got, expected):
 
 
 def c1_stationary_k(phi: float) -> float:
+    # cos k0 = (9 - 5 c2 - 3 sqrt(9 - 10 c2 + c2^2)) / (4 c2), c2 = cos^2 phi,
+    # without its two cancellations: the root is sin(phi) sqrt(9 - c2), and
+    # the difference becomes 4 c2 over the matching sum.
     c2 = math.cos(phi) ** 2
-    arg = (9.0 - 5.0 * c2 - 3.0 * math.sqrt(9.0 - 10.0 * c2 + c2 * c2)) / (4.0 * c2)
-    return math.acos(arg)
+    return math.acos(4.0 * c2 / (9.0 - 5.0 * c2
+                                 + 3.0 * math.sin(phi) * math.sqrt(9.0 - c2)))
 
 
 def propagator(coin: Coin, k: float) -> np.ndarray:
@@ -727,7 +730,13 @@ class TestBatchedPeakSearch:
     # Coins per zoom block: nine samples at each of two centres.
     BLOCK = spectral._EIG_BLOCK // 18
 
-    def test_stack_larger_than_one_block(self, monkeypatch):
+    @staticmethod
+    def assert_blocks_and_bits(monkeypatch, left):
+        """Zoom c2 coins that fill one block, and three Haar coins past it,
+        through ``_peak_velocities(..., left=left)``: two blocks, and each
+        coin's bits from its own eigenvector search (v_right and k0 alone
+        where ``left`` is False, as ``TestHalfZone`` compares them)."""
+        block = spectral._EIG_BLOCK // (9 * (1 + left))
         blocks = []
         zoom = spectral._zoom
 
@@ -736,13 +745,25 @@ class TestBatchedPeakSearch:
             return zoom(objective, centers, half_width)
 
         monkeypatch.setattr(spectral, "_zoom", counted)
-        coins = [coin_c2(rho) for rho in
-                 np.linspace(0.0, 1.0, self.BLOCK + 3)]
+        coins = [coin_c2(rho) for rho in np.linspace(0.0, 1.0, block + 3)]
         coins += [Coin(haar_unitary(seed)) for seed in range(3)]
-        got = self.batch(coins, 17)
+        got = spectral._peak_velocities(np.array([c.matrix for c in coins]),
+                                        17, left=left)
         # c2(0) is flat and takes no part in the zoom.
-        assert blocks == [self.BLOCK, 5]
-        assert got == bits(eigenvector_peak_search(c, 17) for c in coins)
+        assert blocks == [block, 5]
+        want = [eigenvector_peak_search(c, 17) for c in coins]
+        if not left:
+            got = [(math.nan, *g[1:]) for g in got]
+            want = [(math.nan, *w[1:]) for w in want]
+        assert bits(got) == bits(want)
+
+    def test_stack_larger_than_one_block(self, monkeypatch):
+        self.assert_blocks_and_bits(monkeypatch, left=True)
+
+    def test_sweep_stack_larger_than_one_block(self, monkeypatch):
+        # The sweep's own call refines the maximum alone, twice as many
+        # coins at a time.
+        self.assert_blocks_and_bits(monkeypatch, left=False)
 
     def test_memory_bounded_by_the_block(self):
         # Four blocks of coins peak no higher than one: the zoom's arrays
@@ -775,6 +796,24 @@ class TestVelocityFormulas:
         vals = [peak_velocity_c1(p) for p in grid]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         assert np.argmax(vals) == 0
+
+    def test_c1_cancellation_near_pi_over_2(self):
+        # Against the same quantity without the cancellation: the error
+        # grows as 2e-16 / (pi/2 - phi) (measured at most 2.1e-16 / (pi/2 -
+        # phi) over 8000 values of phi from 1.4 to pi/2 - 1e-5).
+        def stable(phi):
+            c2 = math.cos(phi) ** 2
+            return math.sqrt(4.0 * c2 / (3.0 - c2 + math.sin(phi)
+                                         * math.sqrt(9.0 - c2)) / 6.0)
+
+        gaps = np.concatenate([np.geomspace(1e-5, math.pi / 2 - 1.4, 200),
+                               math.pi / 2 - np.linspace(1.4, 1.5, 50)])
+        for gap in gaps:
+            phi = math.pi / 2 - gap
+            assert abs(peak_velocity_c1(phi) - stable(phi)) <= 4e-16 / gap
+        # Past the cancellation the velocity reads zero, as its docstring says.
+        assert peak_velocity_c1(math.pi / 2 - 1e-8) == 0.0
+        assert stable(math.pi / 2 - 1e-8) > 3e-9
 
     def test_c1_domain(self):
         with pytest.raises(ValueError):
