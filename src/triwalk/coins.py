@@ -51,9 +51,6 @@ __all__ = [
 # Entrywise tolerance for matrices built from closed forms.
 UNITARITY_TOL = 1e-12
 
-# Exchange of the L and R coin components (parity on the internal space).
-_EXCHANGE = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-
 
 def _freeze(record, name: str, dtype, shape=None) -> np.ndarray:
     """Set field ``name`` to a read-only C-ordered ``dtype`` copy; return it.
@@ -158,8 +155,9 @@ class Coin:
                 f"coin matrix is not unitary: max |C C^dag - I| = {dev:.3e}"
             )
         if self.family is not CoinFamily.CUSTOM:
-            # Every named family commutes with the L<->R exchange.
-            sym = np.max(np.abs(_EXCHANGE @ m @ _EXCHANGE - m))
+            # Every named family commutes with the L<->R exchange P, and
+            # P m P is m reversed along both axes.
+            sym = np.max(np.abs(m[::-1, ::-1] - m))
             if sym > UNITARITY_TOL:
                 raise InvariantViolation(
                     f"{self.family.value} coin breaks L<->R symmetry by {sym:.3e}"
@@ -253,7 +251,7 @@ _GROVER_PROJECTORS.setflags(write=False)
 
 def permutation_coin() -> Coin:
     """Coin that swaps L and R and fixes S; the walk bounces in place."""
-    return Coin(_EXCHANGE.copy(), CoinFamily.PERMUTATION_PI)
+    return Coin(np.eye(3)[::-1], CoinFamily.PERMUTATION_PI)
 
 
 def reflecting_coin() -> Coin:

@@ -519,10 +519,12 @@ def peak_velocities_numeric(coin: Coin,
     flat too (see ``_peak_velocities``, which also states the half-zone
     rule and its error budget).  The velocities are good to rounding; k0
     is not, although it is printed with 17 digits, because the slope is
-    flat to second order at its maximum (see ``_zoom``).  Against c1's
-    closed form it errs by 1.7e-9 to 7.5e-8 rad for phi in [0.1, 1.5], and
-    by up to 4.5e-7 rad between 1.5 and pi/2 (4.2e-7 at pi/2 - 1e-5),
-    where the maximum flattens as the velocity goes to zero.
+    flat to second order at its maximum (see ``_zoom``).  On a coin with
+    one flat band it lies within about 6 sqrt(2.2e-16 / kappa) of the
+    closed form, with kappa = v (1 - v^2) the slope's curvature at its
+    maximum (a quarter of that where two bands touch): within 1.4e-7 rad
+    for c1 at phi in [0.1, 1.5], and up to 2.7e-5 rad between pi/2 - 1e-3
+    and pi/2 - 1e-6, where the velocity goes to zero.
     """
     return PeakVelocityResult(*_peak_velocities(coin.matrix[None], n_samples)[0])
 

@@ -618,6 +618,24 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvariantViolation"
 
+    def test_named_family_without_exchange_symmetry_exit_3(self, tmp_path,
+                                                            capsys):
+        # Fourier entries are unitary, but no named family may carry them:
+        # every named coin commutes with the L<->R exchange.
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps({
+            "family": "grover", "parameter": None,
+            "matrix": [[z.real, z.imag] for z in fourier_coin().matrix.flat],
+        }))
+        out = tmp_path / "x.json"
+        code = main(["velocity", "--coin", f"matrix:{path}", "--out",
+                     str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvariantViolation",
+            "message": "grover coin breaks L<->R symmetry by 1.000e+00"}
+        assert not out.exists()
+
 
 class TestOutputBytes:
     """Exact text of every record's renderers on hand-built records.

@@ -269,6 +269,14 @@ class TestCoinInvariants:
         commutator = coin.matrix @ EXCHANGE - EXCHANGE @ coin.matrix
         assert np.max(np.abs(commutator)) < 1e-12
 
+    def test_named_family_must_commute_with_exchange(self):
+        # The Fourier coin is unitary but not L<->R symmetric: CUSTOM
+        # carries it, and a named family refuses it.
+        assert fourier_coin().family is CoinFamily.CUSTOM
+        with pytest.raises(InvariantViolation, match=r"^grover coin breaks "
+                           r"L<->R symmetry by 1\.000e\+00$"):
+            Coin(fourier_coin().matrix, CoinFamily.GROVER)
+
     def test_non_unitary_rejected(self):
         with pytest.raises(InvariantViolation):
             Coin(np.ones((3, 3)))

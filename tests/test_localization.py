@@ -392,6 +392,19 @@ class TestFlatBandDetect:
         assert flat
         assert flat_cubic_residual(coin.matrix, lam) <= 1e-12
 
+    # README's table: at the all-flat coins both 1 and -1 are exact flat
+    # eigenvalues, and which branch is flattest on the grid is rounding
+    # noise.  A change to that choice changes this table and README's.
+    @pytest.mark.parametrize("n, branch", [
+        *((n, 1.0) for n in (256, 512, 1024, 2048, 4096)),
+        *((n, -1.0) for n in (300, 384, 768)),
+    ])
+    @pytest.mark.parametrize("name", ["pi", "c1(pi/2)", "c2(0)"])
+    def test_all_flat_coin_branch_by_grid(self, name, n, branch):
+        flat, lam = flat_band_detect(CORNERLESS_COINS[name], n)
+        assert flat
+        assert abs(lam - branch) < 1e-15
+
     @pytest.mark.parametrize("n", [256, 1024, 4096])
     @pytest.mark.parametrize("name", NEAR_FLAT_COINS)
     def test_near_flat_endpoint_reports_flattest_band(self, name, n):

@@ -139,6 +139,9 @@ def invocations() -> list[tuple[str, ...]]:
         # over almost the whole grid for the degenerate pair of pi.
         *(("dispersion", "--grid", "4096", "--coin", spec, "--out", OUT)
           for spec in ("c2:1.0", "pi")),
+        # The benchmark's largest files: single-query's dispersion at seed 1.
+        *(("dispersion", "--coin", "c1:0.8027853655833337", "--grid", "4096",
+           "--format", fmt, "--out", OUT) for fmt in ("csv", "json")),
         *((cmd, "--out", f"{WORK}/missing/out")
           for cmd in ("simulate", "dispersion", "velocity", "localize")),
         *(("simulate", "--coin", f"matrix:{WORK}/malformed{i}.json",
